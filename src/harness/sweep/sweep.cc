@@ -5,6 +5,7 @@
 #include <chrono>
 #include <csignal>
 #include <iostream>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -31,7 +32,8 @@ namespace detail
 /** Execute one spec to completion (simulation only, no cache). */
 RunResult
 executeSpec(const RunSpec &spec, bool capture_stats,
-            std::string &stats_json, double run_timeout_sec)
+            std::string &stats_json, double run_timeout_sec,
+            WarmImage *image, WarmImageUse use)
 {
     const auto &profile = workload::profileByName(spec.benchmark);
     std::ostringstream stats;
@@ -48,7 +50,10 @@ executeSpec(const RunSpec &spec, bool capture_stats,
         }
     };
     RunResult result =
-        runBenchmark(spec.config, profile, traceSeed(spec), &observer);
+        image ? runBenchmark(spec.config, profile, traceSeed(spec),
+                             &observer, *image, use)
+              : runBenchmark(spec.config, profile, traceSeed(spec),
+                             &observer);
     stats_json = stats.str();
     return result;
 }
@@ -65,11 +70,12 @@ namespace
  */
 RunResult
 executeSpecIsolated(const RunSpec &spec, bool capture_stats,
-                    std::string &stats_json, double run_timeout_sec)
+                    std::string &stats_json, double run_timeout_sec,
+                    WarmImage *image, WarmImageUse use)
 {
     try {
         return detail::executeSpec(spec, capture_stats, stats_json,
-                                   run_timeout_sec);
+                                   run_timeout_sec, image, use);
     } catch (const std::exception &e) {
         RunResult failed;
         failed.design = spec.config.design;
@@ -85,6 +91,64 @@ executeSpecIsolated(const RunSpec &spec, bool capture_stats,
         stats_json.clear();
         return failed;
     }
+}
+
+/**
+ * Everything a run's functional warm depends on besides its L2
+ * design (harness::WarmImage): cache misses with equal keys share one
+ * recorded warm.
+ */
+std::string
+warmKey(const RunSpec &spec)
+{
+    const SystemConfig &c = spec.config;
+    std::ostringstream os;
+    os << spec.benchmark << '/' << traceSeed(spec) << "/f"
+       << c.functionalWarm << "/c" << c.cores << "/l1i" << c.l1i.bytes
+       << 'x' << c.l1i.ways << 'x' << c.l1i.hitLatency << 'x'
+       << c.l1i.mshrs << "/l1d" << c.l1d.bytes << 'x' << c.l1d.ways
+       << 'x' << c.l1d.hitLatency << 'x' << c.l1d.mshrs;
+    return os.str();
+}
+
+/** Specs run in order on one worker, sharing one warm image. */
+struct WarmGroup
+{
+    std::vector<std::size_t> specs;
+    /** Instructions the group simulates: its scheduling weight. */
+    std::uint64_t cost = 0;
+};
+
+/**
+ * Split the cache misses into tasks, longest first: one group per
+ * warm key when @p share, else (or for a spec without functional
+ * warm) one task per spec. Groups keep spec order inside.
+ */
+std::vector<WarmGroup>
+groupMisses(const std::vector<RunSpec> &specs,
+            const std::vector<std::size_t> &misses, bool share)
+{
+    std::vector<WarmGroup> groups;
+    std::map<std::string, std::size_t> byKey;
+    for (std::size_t i : misses) {
+        std::size_t g = groups.size();
+        if (share && specs[i].config.functionalWarm > 0)
+            g = byKey.try_emplace(warmKey(specs[i]), g).first->second;
+        if (g == groups.size())
+            groups.emplace_back();
+        groups[g].specs.push_back(i);
+    }
+    for (WarmGroup &group : groups) {
+        const SystemConfig &c = specs[group.specs.front()].config;
+        group.cost = static_cast<std::uint64_t>(c.cores) *
+                     (c.functionalWarm +
+                      group.specs.size() * (c.warmup + c.measure));
+    }
+    std::stable_sort(groups.begin(), groups.end(),
+                     [](const WarmGroup &a, const WarmGroup &b) {
+                         return a.cost > b.cost;
+                     });
+    return groups;
 }
 
 /**
@@ -415,10 +479,15 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
     phys::tech45();
     workload::paperBenchmarks();
 
+    // Under process isolation every run warms inside its own sandbox:
+    // recording in the parent would let a crash escape it.
+    std::vector<WarmGroup> groups = groupMisses(
+        specs, misses, options.isolate != Isolation::Process);
+
     int jobs = std::max(1, options.jobs);
     std::size_t workers =
         std::min<std::size_t>(static_cast<std::size_t>(jobs),
-                              misses.size());
+                              groups.size());
 
     // Only a journaled sweep traps signals: without a journal there
     // is nothing resumable to protect, so ^C keeps its usual bite.
@@ -430,8 +499,100 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
     std::mutex io_mutex; // guards journal/cache/telemetry/progress IO
     std::atomic<std::size_t> done{0};
     std::atomic<std::size_t> failures{0};
+    std::atomic<std::size_t> replays{0};
     double executedWallMs = 0.0; // under io_mutex
     std::size_t resolvedBase = outcome.cached + outcome.restored;
+
+    // Execute and record spec i; false when the run failed.
+    auto runOne = [&](std::size_t i, WarmImage *image,
+                      WarmImageUse use) {
+        const RunSpec &spec = specs[i];
+        auto start = std::chrono::steady_clock::now();
+        if (options.verbose) {
+            std::lock_guard<std::mutex> lock(io_mutex);
+            std::cerr << "  [" << done.load() + resolvedBase << "/"
+                      << specs.size() << "] running "
+                      << specKey(spec) << "..." << std::endl;
+        }
+        if (jw) {
+            std::lock_guard<std::mutex> lock(io_mutex);
+            jw->started(specKey(spec));
+        }
+        if (image && use == WarmImageUse::Replay)
+            ++replays;
+        bool crashed = false;
+        RunResult result;
+        switch (options.isolate) {
+          case Isolation::None:
+            result = detail::executeSpec(spec, options.captureStats,
+                                         outcome.statsJson[i],
+                                         options.runTimeoutSec, image,
+                                         use);
+            break;
+          case Isolation::Thread:
+            result = executeSpecIsolated(spec, options.captureStats,
+                                         outcome.statsJson[i],
+                                         options.runTimeoutSec, image,
+                                         use);
+            break;
+          case Isolation::Process: {
+            SandboxLimits limits;
+            limits.wallTimeoutSec = options.runTimeoutSec;
+            limits.cpuSeconds = options.rlimitCpuSec;
+            limits.rssMegabytes = options.rlimitRssMb;
+            result = runSandboxed(spec, options.captureStats,
+                                  outcome.statsJson[i], limits,
+                                  &crashed);
+            break;
+          }
+        }
+        auto elapsed =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - start);
+        std::lock_guard<std::mutex> lock(io_mutex);
+        // Only successes are memoized: a cached failure would
+        // poison every later sweep with a stale crash.
+        if (cache && result.error.empty())
+            cache->store(spec, result);
+        if (!result.error.empty())
+            ++failures;
+        bool failed_run = !result.error.empty();
+        std::string error_text = result.error;
+        if (jw) {
+            if (failed_run) {
+                jw->failed(specKey(spec), error_text, crashed);
+            } else {
+                std::ostringstream os;
+                writeResultJson(os, spec, result);
+                jw->done(specKey(spec), "executed", os.str(),
+                         outcome.statsJson[i]);
+            }
+        }
+        double wall_ms = static_cast<double>(elapsed.count());
+        executedWallMs += wall_ms;
+        if (telemetry) {
+            telemetry->record(spec, failed_run ? "failed" : "executed",
+                              wall_ms, &result);
+        }
+        outcome.results[i] = std::move(result);
+        ++done;
+        if (options.verbose) {
+            std::cerr << "  [" << done.load() + resolvedBase << "/"
+                      << specs.size() << "] "
+                      << (failed_run ? "FAILED " : "finished ")
+                      << specKey(spec) << " ("
+                      << elapsed.count() / 1000.0 << " s)";
+            if (failed_run)
+                std::cerr << ": " << error_text;
+            std::cerr << std::endl;
+        }
+        if (progress) {
+            progress->update(done.load() + resolvedBase,
+                             outcome.cached, failures.load(),
+                             executedWallMs, done.load(), workers);
+        }
+        return !failed_run;
+    };
 
     auto worker = [&] {
         while (true) {
@@ -440,92 +601,29 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
             if (guard && guard->signalled())
                 return;
             std::size_t slot = next.fetch_add(1);
-            if (slot >= misses.size())
+            if (slot >= groups.size())
                 return;
-            std::size_t i = misses[slot];
-            const RunSpec &spec = specs[i];
-            auto start = std::chrono::steady_clock::now();
-            if (options.verbose) {
-                std::lock_guard<std::mutex> lock(io_mutex);
-                std::cerr << "  [" << done.load() + resolvedBase
-                          << "/" << specs.size() << "] running "
-                          << specKey(spec) << "..." << std::endl;
-            }
-            if (jw) {
-                std::lock_guard<std::mutex> lock(io_mutex);
-                jw->started(specKey(spec));
-            }
-            bool crashed = false;
-            RunResult result;
-            switch (options.isolate) {
-              case Isolation::None:
-                result = detail::executeSpec(spec,
-                                             options.captureStats,
-                                             outcome.statsJson[i],
-                                             options.runTimeoutSec);
-                break;
-              case Isolation::Thread:
-                result = executeSpecIsolated(spec,
-                                             options.captureStats,
-                                             outcome.statsJson[i],
-                                             options.runTimeoutSec);
-                break;
-              case Isolation::Process: {
-                SandboxLimits limits;
-                limits.wallTimeoutSec = options.runTimeoutSec;
-                limits.cpuSeconds = options.rlimitCpuSec;
-                limits.rssMegabytes = options.rlimitRssMb;
-                result = runSandboxed(spec, options.captureStats,
-                                      outcome.statsJson[i], limits,
-                                      &crashed);
-                break;
-              }
-            }
-            auto elapsed =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    std::chrono::steady_clock::now() - start);
-            std::lock_guard<std::mutex> lock(io_mutex);
-            // Only successes are memoized: a cached failure would
-            // poison every later sweep with a stale crash.
-            if (cache && result.error.empty())
-                cache->store(spec, result);
-            if (!result.error.empty())
-                ++failures;
-            bool failed_run = !result.error.empty();
-            std::string error_text = result.error;
-            if (jw) {
-                if (failed_run) {
-                    jw->failed(specKey(spec), error_text, crashed);
+            const std::vector<std::size_t> &group = groups[slot].specs;
+            // The group's image lives until its last replay, so a
+            // worker holds at most one.
+            WarmImage image;
+            bool recorded = false;
+            for (std::size_t k = 0; k < group.size(); ++k) {
+                if (k > 0 && guard && guard->signalled())
+                    return;
+                if (recorded) {
+                    runOne(group[k], &image, WarmImageUse::Replay);
+                } else if (k + 1 < group.size()) {
+                    // Only a run that succeeds hands its image on; a
+                    // failed or timed-out one leaves the next run to
+                    // record its own.
+                    recorded = runOne(group[k], &image,
+                                      WarmImageUse::Record);
+                    if (!recorded)
+                        image.clear();
                 } else {
-                    std::ostringstream os;
-                    writeResultJson(os, spec, result);
-                    jw->done(specKey(spec), "executed", os.str(),
-                             outcome.statsJson[i]);
+                    runOne(group[k], nullptr, WarmImageUse::Record);
                 }
-            }
-            double wall_ms = static_cast<double>(elapsed.count());
-            executedWallMs += wall_ms;
-            if (telemetry) {
-                telemetry->record(spec,
-                                  failed_run ? "failed" : "executed",
-                                  wall_ms, &result);
-            }
-            outcome.results[i] = std::move(result);
-            ++done;
-            if (options.verbose) {
-                std::cerr << "  [" << done.load() + resolvedBase
-                          << "/" << specs.size() << "] "
-                          << (failed_run ? "FAILED " : "finished ")
-                          << specKey(spec) << " ("
-                          << elapsed.count() / 1000.0 << " s)";
-                if (failed_run)
-                    std::cerr << ": " << error_text;
-                std::cerr << std::endl;
-            }
-            if (progress) {
-                progress->update(done.load() + resolvedBase,
-                                 outcome.cached, failures.load(),
-                                 executedWallMs, done.load(), workers);
             }
         }
     };
@@ -548,6 +646,7 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
 
     outcome.executed = done.load();
     outcome.failed = failures.load();
+    outcome.replayed = replays.load();
     outcome.interrupted = guard && guard->signalled() != 0;
     if (jw) {
         if (outcome.interrupted) {

@@ -13,6 +13,13 @@
  * resolved up front (a fully warm sweep executes zero simulations),
  * and misses are stored as soon as each simulation finishes.
  *
+ * Misses that share a warm key (harness::WarmImage) run as one task
+ * on one worker: the first records its functional warm, the others
+ * replay it into their own L2 instead of regenerating and
+ * re-filtering the same traces. Results are byte-identical to
+ * warming every run alone; under process isolation every run still
+ * warms alone, inside its sandbox.
+ *
  * Observability rides along per worker: when stats capture is on,
  * each run dumps its final stats tree (the PR-1 JSON export) into a
  * per-run sink; mergedStatsJson() then folds the per-run documents
@@ -130,6 +137,11 @@ struct SweepOutcome
     /** Runs restored from a resumed journal (never re-executed). */
     std::size_t restored = 0;
     /**
+     * Executed runs whose functional warm replayed a warm image
+     * another run of their warm key recorded (harness::WarmImage).
+     */
+    std::size_t replayed = 0;
+    /**
      * The sweep was interrupted (SIGINT/SIGTERM with journaling on):
      * in-flight runs were drained and journaled, the rest were never
      * dispatched. Resume with SweepOptions::resume.
@@ -146,11 +158,13 @@ namespace detail
  * is what makes process- and thread-isolated results byte-identical.
  * @p run_timeout_sec > 0 arms the watchdog wall deadline (thread-
  * mode --run-timeout); the sandbox child passes 0 and lets its
- * parent keep time.
+ * parent keep time. A non-null @p image is recorded or replayed per
+ * @p use (harness::runBenchmark's warm-sharing overload).
  */
 RunResult executeSpec(const RunSpec &spec, bool capture_stats,
-                      std::string &stats_json,
-                      double run_timeout_sec);
+                      std::string &stats_json, double run_timeout_sec,
+                      WarmImage *image = nullptr,
+                      WarmImageUse use = WarmImageUse::Record);
 
 } // namespace detail
 

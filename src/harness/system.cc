@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <optional>
+#include <cstring>
+#include <new>
+#include <sstream>
+
+#include <sys/mman.h>
 
 #include "mem/l2registry.hh"
 #include "mem/memregistry.hh"
@@ -71,6 +76,36 @@ configFor(DesignKind kind, const cpu::CoreConfig &core_config)
 }
 
 } // namespace
+
+void
+WarmOpStream::Unmap::operator()(std::uint8_t *chunk) const
+{
+    ::munmap(chunk, chunkBytes);
+}
+
+void
+WarmOpStream::addChunk()
+{
+    void *chunk = ::mmap(nullptr, chunkBytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (chunk == MAP_FAILED)
+        throw std::bad_alloc();
+    chunks.emplace_back(static_cast<std::uint8_t *>(chunk));
+    used = 0;
+}
+
+bool
+WarmOpStream::operator==(const WarmOpStream &other) const
+{
+    if (count != other.count || byteSize() != other.byteSize())
+        return false;
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+        std::size_t n = c + 1 < chunks.size() ? chunkBytes : used;
+        if (std::memcmp(chunks[c].get(), other.chunks[c].get(), n) != 0)
+            return false;
+    }
+    return true;
+}
 
 System::System(const SystemConfig &config,
                std::uint64_t fault_stream_seed)
@@ -214,40 +249,102 @@ System::beginMeasurement()
     l2Cache->beginMeasurement();
 }
 
+namespace
+{
+
+/**
+ * Forwards functional ops to the L2 and appends each to a warm
+ * image's op stream, in the order the L1s sent them.
+ */
+struct WarmRecorder
+{
+    mem::L2Cache &l2;
+    WarmOpStream &ops;
+
+    void
+    accessFunctional(Addr block_addr, mem::AccessType type)
+    {
+        ops.push(block_addr, type);
+        l2.accessFunctional(block_addr, type);
+    }
+};
+
+} // namespace
+
+template <typename Sink>
+std::uint64_t
+System::warmRecord(CoreSlot &slot, const cpu::TraceRecord &record,
+                   Sink &sink)
+{
+    if (record.isIFetch) {
+        slot.icache->accessFunctional(record.blockAddr,
+                                      mem::AccessType::InstFetch, sink);
+        return record.gap;
+    }
+    slot.dcache->accessFunctional(record.blockAddr, record.type, sink);
+    return record.gap + 1;
+}
+
+template <typename Sink>
 void
-System::functionalWarm(cpu::TraceSource &source,
-                       std::uint64_t instructions, int core_idx)
+System::warmLoop(cpu::TraceSource &source, std::uint64_t instructions,
+                 int core_idx, Sink &sink)
 {
     CoreSlot &slot = cores[static_cast<std::size_t>(
         checkIndex(core_idx))];
     std::uint64_t executed = 0;
-    while (executed < instructions) {
-        cpu::TraceRecord record = source.next();
-        executed += record.gap;
-        if (record.isIFetch) {
-            slot.icache->accessFunctional(record.blockAddr,
-                                          mem::AccessType::InstFetch);
-        } else {
-            slot.dcache->accessFunctional(record.blockAddr,
-                                          record.type);
-            ++executed;
-        }
-    }
+    while (executed < instructions)
+        executed += warmRecord(slot, source.next(), sink);
 }
 
-bool
-System::saveWarmState(std::ostream &os)
+void
+System::functionalWarm(cpu::TraceSource &source,
+                       std::uint64_t instructions, int core_idx)
+{
+    warmLoop(source, instructions, core_idx, *l2Cache);
+}
+
+void
+System::functionalWarm(cpu::TraceSource &source,
+                       std::uint64_t instructions, int core_idx,
+                       WarmOpStream &record)
+{
+    WarmRecorder recorder{*l2Cache, record};
+    warmLoop(source, instructions, core_idx, recorder);
+}
+
+std::uint64_t
+System::functionalWarmRecord(const cpu::TraceRecord &record,
+                             int core_idx)
+{
+    return warmRecord(cores[static_cast<std::size_t>(
+                          checkIndex(core_idx))],
+                      record, *l2Cache);
+}
+
+void
+System::replayWarmImage(const WarmImage &image)
+{
+    std::istringstream l1_state(image.l1State);
+    if (!loadL1WarmState(l1_state))
+        panic("warm image does not fit this machine's L1s");
+    image.ops.forEach([this](Addr block_addr, mem::AccessType type) {
+        l2Cache->accessFunctional(block_addr, type);
+    });
+}
+
+void
+System::saveL1WarmState(std::ostream &os) const
 {
     mem::warm::putU32(os, static_cast<std::uint32_t>(cores.size()));
     for (const CoreSlot &slot : cores) {
         slot.icache->saveWarmState(os);
         slot.dcache->saveWarmState(os);
     }
-    return l2Cache->saveWarmState(os);
 }
 
 bool
-System::loadWarmState(std::istream &is)
+System::loadL1WarmState(std::istream &is)
 {
     std::uint32_t n = 0;
     if (!mem::warm::getU32(is, n) || n != cores.size())
@@ -257,7 +354,20 @@ System::loadWarmState(std::istream &is)
             !slot.dcache->loadWarmState(is))
             return false;
     }
-    return l2Cache->loadWarmState(is);
+    return true;
+}
+
+bool
+System::saveWarmState(std::ostream &os)
+{
+    saveL1WarmState(os);
+    return l2Cache->saveWarmState(os);
+}
+
+bool
+System::loadWarmState(std::istream &is)
+{
+    return loadL1WarmState(is) && l2Cache->loadWarmState(is);
 }
 
 namespace
@@ -323,12 +433,16 @@ runCores(System &system,
     return maxCurrentCycle(system) - start;
 }
 
-} // namespace
-
+/**
+ * runBenchmark with an optional warm image: null warms as always;
+ * otherwise @p replay says whether to restore the image or to record
+ * into it.
+ */
 RunResult
-runBenchmark(const SystemConfig &config,
+runWithImage(const SystemConfig &config,
              const workload::BenchmarkProfile &profile,
-             std::uint64_t run_seed, const RunObserver *observer)
+             std::uint64_t run_seed, const RunObserver *observer,
+             WarmImage *image, bool replay)
 {
     prof::Scope prof_run("run");
 
@@ -345,28 +459,54 @@ runBenchmark(const SystemConfig &config,
     if (observer && observer->onSystemBuilt)
         observer->onSystemBuilt(system);
     int n = system.numCores();
-
-    // Core 0 uses run_seed exactly so single-core runs reproduce the
-    // pre-CMP runner bit-for-bit; the other cores derive distinct,
-    // deterministic streams from it.
-    std::vector<workload::TraceGenerator> gens;
-    gens.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        std::uint64_t seed =
-            i == 0 ? run_seed
-                   : splitmix64(run_seed +
-                                static_cast<std::uint64_t>(i));
-        gens.emplace_back(profile, seed);
-    }
+    if (run_config.functionalWarm == 0)
+        image = nullptr;
 
     // Long functional warmup (paper methodology: caches warmed over
     // hundreds of millions of instructions), then a short timed
     // warmup to populate contention state.
-    if (run_config.functionalWarm > 0) {
-        prof::Scope prof_funcwarm("funcwarm");
-        for (int i = 0; i < n; ++i)
-            system.functionalWarm(gens[static_cast<std::size_t>(i)],
-                                  run_config.functionalWarm, i);
+    std::vector<workload::TraceGenerator> gens;
+    if (image && replay) {
+        prof::Scope prof_replay("funcwarm.replay");
+        TLSIM_ASSERT(image->generators.size() ==
+                         static_cast<std::size_t>(n),
+                     "warm image has {} generators for {} cores",
+                     image->generators.size(), n);
+        system.replayWarmImage(*image);
+        gens = image->generators;
+    } else {
+        // Core 0 uses run_seed exactly so single-core runs reproduce
+        // the pre-CMP runner bit-for-bit; the other cores derive
+        // distinct, deterministic streams from it.
+        gens.reserve(static_cast<std::size_t>(n));
+        for (int i = 0; i < n; ++i) {
+            std::uint64_t seed =
+                i == 0 ? run_seed
+                       : splitmix64(run_seed +
+                                    static_cast<std::uint64_t>(i));
+            gens.emplace_back(profile, seed);
+        }
+        if (run_config.functionalWarm > 0) {
+            prof::Scope prof_funcwarm("funcwarm");
+            if (image)
+                image->clear();
+            for (int i = 0; i < n; ++i) {
+                auto &gen = gens[static_cast<std::size_t>(i)];
+                if (image) {
+                    system.functionalWarm(gen, run_config.functionalWarm,
+                                          i, image->ops);
+                } else {
+                    system.functionalWarm(gen, run_config.functionalWarm,
+                                          i);
+                }
+            }
+            if (image) {
+                std::ostringstream l1_state;
+                system.saveL1WarmState(l1_state);
+                image->l1State = l1_state.str();
+                image->generators = gens;
+            }
+        }
     }
     {
         prof::Scope prof_warmup("warmup");
@@ -391,6 +531,27 @@ runBenchmark(const SystemConfig &config,
         run_config.measure * static_cast<std::uint64_t>(n);
     return extractRunResult(system, cycles, measured_instructions,
                             profile.name);
+}
+
+} // namespace
+
+RunResult
+runBenchmark(const SystemConfig &config,
+             const workload::BenchmarkProfile &profile,
+             std::uint64_t run_seed, const RunObserver *observer)
+{
+    return runWithImage(config, profile, run_seed, observer, nullptr,
+                        false);
+}
+
+RunResult
+runBenchmark(const SystemConfig &config,
+             const workload::BenchmarkProfile &profile,
+             std::uint64_t run_seed, const RunObserver *observer,
+             WarmImage &image, WarmImageUse use)
+{
+    return runWithImage(config, profile, run_seed, observer, &image,
+                        use == WarmImageUse::Replay);
 }
 
 RunResult

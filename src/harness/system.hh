@@ -61,6 +61,153 @@ const std::vector<DesignKind> &tlcFamily();
 std::string designName(DesignKind kind);
 
 /**
+ * An ordered stream of L2 functional ops (block address, access
+ * type), stored compactly: each op packs into the word
+ * (block address << 2 | type), kept as the zigzag varint of its
+ * difference from the previous word. On the paper benchmarks that is
+ * 4-5 bytes per op instead of 8. The bytes live in chunks mapped
+ * straight from the OS rather than the heap: a stream outlives the
+ * machines of the runs that replay it, and heap blocks held across
+ * their allocations would keep the freed memory of every machine
+ * resident. Freeing a chunk returns it to the OS.
+ */
+class WarmOpStream
+{
+  public:
+    void
+    push(Addr block_addr, mem::AccessType type)
+    {
+        TLSIM_ASSERT(block_addr >> 62 == 0,
+                     "block address {} too wide for a warm image",
+                     block_addr);
+        std::uint64_t word =
+            (block_addr << 2) | static_cast<std::uint64_t>(type);
+        // Zigzag: deltas small in magnitude, of either sign, get few
+        // bytes.
+        std::uint64_t delta = word - last;
+        std::uint64_t zigzag = (delta << 1) ^ (0 - (delta >> 63));
+        while (zigzag >= 0x80) {
+            putByte(static_cast<std::uint8_t>(zigzag | 0x80));
+            zigzag >>= 7;
+        }
+        putByte(static_cast<std::uint8_t>(zigzag));
+        last = word;
+        ++count;
+    }
+
+    /** Call @p fn(block_addr, type) for every op, in push order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        std::size_t chunk = 0, pos = 0;
+        std::uint64_t word = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            std::uint64_t zigzag = 0;
+            for (int shift = 0;; shift += 7) {
+                if (pos == chunkBytes) {
+                    ++chunk;
+                    pos = 0;
+                }
+                std::uint8_t byte = chunks[chunk][pos++];
+                zigzag |= static_cast<std::uint64_t>(byte & 0x7f)
+                          << shift;
+                if (!(byte & 0x80))
+                    break;
+            }
+            word += (zigzag >> 1) ^ (0 - (zigzag & 1));
+            fn(static_cast<Addr>(word >> 2),
+               static_cast<mem::AccessType>(word & 3));
+        }
+    }
+
+    /** Number of ops. */
+    std::size_t size() const { return count; }
+    /** Bytes the encoded ops occupy. */
+    std::size_t
+    byteSize() const
+    {
+        return chunks.empty() ? 0
+                              : (chunks.size() - 1) * chunkBytes + used;
+    }
+
+    void
+    clear()
+    {
+        chunks.clear();
+        used = 0;
+        last = 0;
+        count = 0;
+    }
+
+    /** Same ops in the same order. */
+    bool operator==(const WarmOpStream &other) const;
+
+  private:
+    /** Chunk size; the OS commits only the pages written. */
+    static constexpr std::size_t chunkBytes = std::size_t{1} << 20;
+
+    struct Unmap
+    {
+        void operator()(std::uint8_t *chunk) const;
+    };
+
+    void
+    putByte(std::uint8_t byte)
+    {
+        if (chunks.empty() || used == chunkBytes)
+            addChunk();
+        chunks.back()[used++] = byte;
+    }
+
+    void addChunk();
+
+    std::vector<std::unique_ptr<std::uint8_t[], Unmap>> chunks;
+    /** Bytes written to the last chunk. */
+    std::size_t used = 0;
+    std::uint64_t last = 0;
+    std::size_t count = 0;
+};
+
+/**
+ * The half of a run's functional warm that no L2 design influences
+ * (docs/PERFORMANCE.md, "Warm once"). The L1s send the L2 functional
+ * ops and get nothing back, so for one warm key — benchmark, trace
+ * seed, functional budget, core count, L1 geometry — the trace
+ * generators, the L1 states and the ordered stream of L1-filtered L2
+ * ops are the same on every design. One run records them; runs of
+ * the same warm key on other designs restore the L1s and generators
+ * and replay the stream into their own L2.
+ */
+struct WarmImage
+{
+    /** The L2 functional ops, in the order the L1s sent them. */
+    WarmOpStream ops;
+    /** Every core's L1 state, as System::saveL1WarmState writes it. */
+    std::string l1State;
+    /** Every core's trace generator where functional warm ended. */
+    std::vector<workload::TraceGenerator> generators;
+
+    /** Drop everything (a recording that did not finish). */
+    void
+    clear()
+    {
+        ops.clear();
+        l1State.clear();
+        generators.clear();
+    }
+};
+
+/** What runBenchmark does with a WarmImage. */
+enum class WarmImageUse
+{
+    /** Warm as usual, filling the image on the way. */
+    Record,
+    /** Restore the image's L1s and generators, replay its ops. */
+    Replay,
+};
+
+/**
  * One fully wired simulated machine: cores() cores with private split
  * L1s sharing one L2 design and one DRAM, all on one event queue.
  */
@@ -140,6 +287,44 @@ class System
                         std::uint64_t instructions, int core_idx = 0);
 
     /**
+     * functionalWarm that also appends every op the L1s send the L2,
+     * in order, to @p record (the op stream of a WarmImage).
+     */
+    void functionalWarm(cpu::TraceSource &source,
+                        std::uint64_t instructions, int core_idx,
+                        WarmOpStream &record);
+
+    /**
+     * Functionally warm core @p core_idx's L1s (and the L2 behind
+     * them) with one trace record: the step functionalWarm repeats.
+     * @return The instructions the record stands for.
+     */
+    std::uint64_t functionalWarmRecord(const cpu::TraceRecord &record,
+                                       int core_idx = 0);
+
+    /**
+     * Restore a WarmImage's functional state: every core's L1 from
+     * the image, then the image's ops replayed into this machine's
+     * L2. On a freshly built machine of the image's warm key this
+     * leaves the caches exactly as functionalWarm over the recorded
+     * traces would.
+     */
+    void replayWarmImage(const WarmImage &image);
+
+    /**
+     * Serialize every core's L1 functional state: the leading,
+     * design-independent part of saveWarmState's format.
+     */
+    void saveL1WarmState(std::ostream &os) const;
+
+    /**
+     * Restore state written by saveL1WarmState on a machine with the
+     * same core count and L1 geometry.
+     * @return false on any mismatch.
+     */
+    bool loadL1WarmState(std::istream &is);
+
+    /**
      * Serialize the machine's functional warm state (every core's L1
      * arrays plus the L2 design's state; DRAM is timing-only and has
      * none) for warm-state checkpoints (docs/SAMPLING.md).
@@ -167,6 +352,19 @@ class System
         std::unique_ptr<mem::L1Cache> dcache;
         std::unique_ptr<cpu::OoOCore> core;
     };
+
+    /**
+     * functionalWarmRecord on a resolved core, with the L1s' ops sent
+     * to @p sink (the L2, or a recorder in front of it).
+     */
+    template <typename Sink>
+    std::uint64_t warmRecord(CoreSlot &slot,
+                             const cpu::TraceRecord &record, Sink &sink);
+
+    /** functionalWarm's loop, with the L1s' ops sent to @p sink. */
+    template <typename Sink>
+    void warmLoop(cpu::TraceSource &source, std::uint64_t instructions,
+                  int core_idx, Sink &sink);
 
     int
     checkIndex(int i) const
@@ -307,6 +505,22 @@ RunResult runBenchmark(const SystemConfig &config,
 RunResult extractRunResult(System &system, std::uint64_t cycles,
                            std::uint64_t measured_instructions,
                            const std::string &benchmark);
+
+/**
+ * runBenchmark sharing functional warm through @p image (see
+ * WarmImage). Record fills the image while warming as usual; Replay
+ * takes the image's L1 states, generators and op stream in place of
+ * generating and filtering the traces. Either way the run's results
+ * and stats are byte-identical to the plain runBenchmark's, provided
+ * a replayed image was recorded by a run of the same warm key. With
+ * config.functionalWarm == 0 there is nothing to share and the image
+ * is ignored.
+ */
+RunResult runBenchmark(const SystemConfig &config,
+                       const workload::BenchmarkProfile &profile,
+                       std::uint64_t run_seed,
+                       const RunObserver *observer, WarmImage &image,
+                       WarmImageUse use);
 
 /** Compat wrapper: single-core run of a paper design. */
 RunResult runBenchmark(DesignKind kind,

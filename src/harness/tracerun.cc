@@ -26,25 +26,17 @@ wallMsSince(std::chrono::steady_clock::time_point start)
 
 /**
  * Replay records functionally until the cursor reaches
- * @p until_record, mirroring System::functionalWarm's access pattern
- * but bounded by record count: interval entries are exact record
- * boundaries, and positioning by records (not instructions) keeps
- * zero-instruction ifetch records from desynchronizing the cursor.
+ * @p until_record: System::functionalWarm's step, bounded by record
+ * count instead. Interval entries are exact record boundaries, and
+ * positioning by records (not instructions) keeps zero-instruction
+ * ifetch records from desynchronizing the cursor.
  */
 void
 warmToRecord(System &system, workload::TraceFileSource &source,
              std::uint64_t until_record)
 {
-    while (source.recordIndex() < until_record) {
-        cpu::TraceRecord record = source.next();
-        if (record.isIFetch) {
-            system.l1i().accessFunctional(record.blockAddr,
-                                          mem::AccessType::InstFetch);
-        } else {
-            system.l1d().accessFunctional(record.blockAddr,
-                                          record.type);
-        }
-    }
+    while (source.recordIndex() < until_record)
+        system.functionalWarmRecord(source.next());
 }
 
 void

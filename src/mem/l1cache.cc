@@ -95,23 +95,6 @@ L1Cache::access(const MemRequest &req, RespCallback cb)
 }
 
 void
-L1Cache::accessFunctional(Addr block_addr, AccessType type)
-{
-    ++useCounter;
-    auto way = array.lookup(block_addr);
-    if (way) {
-        array.touch(block_addr, *way, useCounter, isWrite(type));
-        return;
-    }
-    l2.accessFunctional(block_addr, type == AccessType::Store
-                                        ? AccessType::Load
-                                        : type);
-    auto evicted = array.insert(block_addr, useCounter, isWrite(type));
-    if (evicted && evicted->dirty)
-        l2.accessFunctional(evicted->blockAddr, AccessType::Store);
-}
-
-void
 L1Cache::saveWarmState(std::ostream &os) const
 {
     warm::putU64(os, useCounter);

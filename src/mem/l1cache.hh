@@ -76,7 +76,36 @@ class L1Cache : public stats::StatGroup
      * array and forwards misses and dirty writebacks to the L2's
      * functional interface.
      */
-    void accessFunctional(Addr block_addr, AccessType type);
+    void
+    accessFunctional(Addr block_addr, AccessType type)
+    {
+        accessFunctional(block_addr, type, l2);
+    }
+
+    /**
+     * accessFunctional with the misses and dirty writebacks sent to
+     * @p sink, anything with the L2's accessFunctional(Addr,
+     * AccessType) (a recorder in front of the L2, say). The L1's own
+     * state never depends on where they go.
+     */
+    template <typename Sink>
+    void
+    accessFunctional(Addr block_addr, AccessType type, Sink &sink)
+    {
+        ++useCounter;
+        auto way = array.lookup(block_addr);
+        if (way) {
+            array.touch(block_addr, *way, useCounter, isWrite(type));
+            return;
+        }
+        sink.accessFunctional(block_addr, type == AccessType::Store
+                                              ? AccessType::Load
+                                              : type);
+        auto evicted =
+            array.insert(block_addr, useCounter, isWrite(type));
+        if (evicted && evicted->dirty)
+            sink.accessFunctional(evicted->blockAddr, AccessType::Store);
+    }
 
     /** Number of misses currently outstanding. */
     int outstandingMisses() const { return static_cast<int>(

@@ -379,8 +379,9 @@ TEST(EventQueue, CompactionBoundsStaleEntries)
         eq.deschedule(ev);
         // The compaction policy caps stale entries at 2x live (once
         // past the small-heap threshold).
-        if (eq.heapSize() > 64)
+        if (eq.heapSize() > 64) {
             EXPECT_LE(eq.staleCount(), 2 * eq.size() + 1);
+        }
         EXPECT_EQ(eq.heapSize(), eq.size() + eq.staleCount());
     }
     EXPECT_GT(eq.compactions(), 0u);

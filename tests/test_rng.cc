@@ -171,8 +171,9 @@ TEST_P(RngBoundSweep, BelowAlwaysInBounds)
         EXPECT_LT(v, bound);
         max_seen = std::max(max_seen, v);
     }
-    if (bound > 4)
+    if (bound > 4) {
         EXPECT_GT(max_seen, bound / 2); // upper half is reachable
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Bounds, RngBoundSweep,

@@ -107,10 +107,11 @@ TEST(Sampling, FirstIntervalOnlyRepresentsItself)
     TraceFile trace = makeTrace("gcc", 400000);
     SamplingPlan plan = selectIntervals(trace, 25000, 4, 0);
     for (const RepresentativeInterval &rep : plan.representatives) {
-        if (rep.startInstr == 0)
+        if (rep.startInstr == 0) {
             EXPECT_EQ(rep.clusterSize, 1u)
                 << "cold-boot interval must not stand for a larger "
                    "cluster";
+        }
     }
 }
 

@@ -8,10 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <thread>
+
+#include <unistd.h>
 
 #include "harness/sweep/journal.hh"
 #include "harness/sweep/resultcache.hh"
@@ -951,4 +958,326 @@ TEST(Fsck, QuarantinesCorruptEntriesOnly)
     auto clean = fsckCache(dir);
     EXPECT_EQ(clean.scanned, 2u);
     EXPECT_EQ(clean.quarantined, 0u);
+}
+
+namespace
+{
+
+/** Every paper design on each of @p benchmarks, benchmark-major. */
+std::vector<RunSpec>
+allDesignSpecs(const std::vector<std::string> &benchmarks,
+               const SystemConfig &base = testConfig())
+{
+    std::vector<RunSpec> specs;
+    for (const std::string &bench : benchmarks) {
+        for (DesignKind kind : allDesigns()) {
+            RunSpec spec;
+            spec.benchmark = bench;
+            spec.config = base;
+            spec.config.design = designName(kind);
+            specs.push_back(spec);
+        }
+    }
+    return specs;
+}
+
+/**
+ * Each spec run alone through runBenchmark, warming itself; a run
+ * that throws records the message as thread isolation does.
+ */
+SweepOutcome
+perSpecOutcome(const std::vector<RunSpec> &specs)
+{
+    SweepOutcome outcome;
+    outcome.results.resize(specs.size());
+    outcome.statsJson.resize(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        try {
+            outcome.results[i] = detail::executeSpec(
+                specs[i], true, outcome.statsJson[i], 0.0);
+        } catch (const std::exception &e) {
+            outcome.results[i].error = e.what();
+            outcome.statsJson[i].clear();
+        }
+    }
+    return outcome;
+}
+
+/** Results and stats of spec @p i match the per-spec reference. */
+void
+expectSameRun(const std::vector<RunSpec> &specs, std::size_t i,
+              const SweepOutcome &reference, const SweepOutcome &got)
+{
+    EXPECT_EQ(resultJson(specs[i], reference.results[i]),
+              resultJson(specs[i], got.results[i]))
+        << specKey(specs[i]);
+    EXPECT_EQ(reference.results[i].error, got.results[i].error)
+        << specKey(specs[i]);
+    EXPECT_EQ(reference.statsJson[i], got.statsJson[i])
+        << specKey(specs[i]);
+}
+
+void
+expectSameSweep(const std::vector<RunSpec> &specs,
+                const SweepOutcome &reference, const SweepOutcome &got)
+{
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        expectSameRun(specs, i, reference, got);
+    EXPECT_EQ(mergedStatsJson(specs, reference),
+              mergedStatsJson(specs, got));
+}
+
+/** Count of profiler nodes named @p name anywhere under @p node. */
+std::uint64_t
+profCount(const prof::Node &node, const std::string &name)
+{
+    std::uint64_t count = node.name == name ? node.count : 0;
+    for (const auto &child : node.children)
+        count += profCount(*child, name);
+    return count;
+}
+
+extern "C" void
+ignoreSignal(int)
+{}
+
+} // namespace
+
+TEST(WarmShare, SweepMatchesPerSpecRuns)
+{
+    // Six designs x two benchmarks: two groups of six, each warmed
+    // once and replayed five times.
+    auto specs = allDesignSpecs({"gcc", "mcf"});
+    auto reference = perSpecOutcome(specs);
+    for (int jobs : {1, 4}) {
+        SweepOptions options = quietOptions();
+        options.jobs = jobs;
+        auto outcome = runSweep(specs, options);
+        EXPECT_EQ(outcome.executed, specs.size());
+        EXPECT_EQ(outcome.failed, 0u);
+        EXPECT_EQ(outcome.replayed, 10u) << "jobs=" << jobs;
+        expectSameSweep(specs, reference, outcome);
+    }
+}
+
+TEST(WarmShare, DdrFaultCmpSweepMatchesPerSpecRuns)
+{
+    SystemConfig base = testConfig();
+    base.cores = 2;
+    base.mem.backend = "ddr";
+    base.fault.enabled = true;
+    base.fault.bitErrorRate = 1e-3;
+    base.fault.dramStuckBanks = "0@0";
+    auto specs = allDesignSpecs({"apache"}, base);
+    auto reference = perSpecOutcome(specs);
+
+    SweepOptions options = quietOptions();
+    auto outcome = runSweep(specs, options);
+    EXPECT_EQ(outcome.failed, 0u);
+    EXPECT_EQ(outcome.replayed, specs.size() - 1);
+    expectSameSweep(specs, reference, outcome);
+}
+
+TEST(WarmShare, PartlyCachedSweepMatchesPerSpecRuns)
+{
+    // Half the specs are cached up front, unevenly per benchmark, so
+    // the groups left to run hold 5, 3 and 1 specs.
+    auto specs = allDesignSpecs({"gcc", "mcf", "swim"});
+    auto reference = perSpecOutcome(specs);
+    std::vector<RunSpec> precached;
+    std::vector<bool> is_cached(specs.size(), false);
+    for (std::size_t b = 0, per = 6; b < 3; ++b) {
+        std::size_t take = b == 0 ? 1 : b == 1 ? 3 : 5;
+        for (std::size_t d = 0; d < take; ++d) {
+            precached.push_back(specs[b * per + d]);
+            is_cached[b * per + d] = true;
+        }
+    }
+
+    SweepOptions options = quietOptions();
+    options.jobs = 4;
+    options.cacheDir = freshDir("warmshare_cache");
+    runSweep(precached, options);
+
+    auto outcome = runSweep(specs, options);
+    EXPECT_EQ(outcome.cached, 9u);
+    EXPECT_EQ(outcome.executed, 9u);
+    EXPECT_EQ(outcome.replayed, 4u + 2u);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(resultJson(specs[i], reference.results[i]),
+                  resultJson(specs[i], outcome.results[i]))
+            << specKey(specs[i]);
+        EXPECT_EQ(is_cached[i] ? std::string() : reference.statsJson[i],
+                  outcome.statsJson[i])
+            << specKey(specs[i]);
+    }
+}
+
+TEST(WarmShare, FailedRecordingHandsNoImage)
+{
+    // The group's first run records, then trips the watchdog in its
+    // timed phase. Its image is discarded: the next run records its
+    // own and the other four replay that.
+    auto specs = allDesignSpecs({"gcc"});
+    specs[0].config.fault.enabled = true;
+    specs[0].config.fault.watchdogMaxAge = 1;
+    auto reference = perSpecOutcome(specs);
+    ASSERT_FALSE(reference.results[0].error.empty());
+
+    SweepOptions options = quietOptions();
+    options.jobs = 1;
+    auto outcome = runSweep(specs, options);
+    EXPECT_EQ(outcome.failed, 1u);
+    EXPECT_EQ(outcome.results[0].error, reference.results[0].error);
+    EXPECT_EQ(outcome.replayed, specs.size() - 2);
+    for (std::size_t i = 1; i < specs.size(); ++i)
+        expectSameRun(specs, i, reference, outcome);
+}
+
+TEST(WarmShare, TimedOutRecordingHandsNoImage)
+{
+    // Every run hits --run-timeout after its functional warm: no
+    // recording succeeds, so no run replays.
+    auto specs = allDesignSpecs({"gcc"});
+    specs.resize(3);
+
+    SweepOptions options = quietOptions();
+    options.jobs = 1;
+    options.runTimeoutSec = 1e-9;
+    auto outcome = runSweep(specs, options);
+    EXPECT_EQ(outcome.failed, specs.size());
+    EXPECT_EQ(outcome.replayed, 0u);
+    for (const RunResult &result : outcome.results) {
+        EXPECT_NE(result.error.find("run timeout"), std::string::npos)
+            << result.error;
+    }
+}
+
+TEST(WarmShare, ProcessIsolationWarmsEachRunAlone)
+{
+    auto specs = allDesignSpecs({"gcc"});
+    specs.resize(3);
+    auto reference = perSpecOutcome(specs);
+
+    SweepOptions options = quietOptions();
+    options.isolate = Isolation::Process;
+    auto outcome = runSweep(specs, options);
+    EXPECT_EQ(outcome.failed, 0u);
+    EXPECT_EQ(outcome.replayed, 0u);
+    expectSameSweep(specs, reference, outcome);
+}
+
+TEST(WarmShare, ResumeWithPartOfAGroupDone)
+{
+    // One group of six; the journal is cut after its first two runs
+    // finished. The resumed sweep runs the other four as a group of
+    // its own: one records, three replay.
+    auto specs = allDesignSpecs({"gcc"});
+    auto reference = perSpecOutcome(specs);
+    std::string dir = freshDir("warmshare_resume");
+    std::filesystem::create_directories(dir);
+    std::string path = dir + "/sweep.jsonl";
+
+    SweepOptions options = quietOptions();
+    options.jobs = 1;
+    options.journalPath = path;
+    runSweep(specs, options);
+
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(path);
+        std::string line;
+        while (std::getline(in, line))
+            lines.push_back(line);
+    }
+    ASSERT_GE(lines.size(), 5u);
+    {
+        // Header, then started+done for each of the first two runs.
+        std::ofstream out(path, std::ios::trunc);
+        for (std::size_t i = 0; i < 5; ++i)
+            out << lines[i] << "\n";
+    }
+
+    options.resume = true;
+    auto resumed = runSweep(specs, options);
+    EXPECT_EQ(resumed.restored, 2u);
+    EXPECT_EQ(resumed.executed, 4u);
+    EXPECT_EQ(resumed.replayed, 3u);
+    expectSameSweep(specs, reference, resumed);
+}
+
+TEST(WarmShare, InterruptedGroupResumesByteIdentically)
+{
+    // SIGINT lands once the group's recording run is journaled: the
+    // worker drains the run in hand and abandons the rest of the
+    // group, and --resume completes it byte-identically.
+    auto specs = allDesignSpecs({"gcc"});
+    auto reference = perSpecOutcome(specs);
+    std::string dir = freshDir("warmshare_interrupt");
+    std::filesystem::create_directories(dir);
+
+    SweepOptions options = quietOptions();
+    options.jobs = 1;
+    options.journalPath = dir + "/sweep.jsonl";
+
+    // The sweep restores this handler when it returns, so a signal
+    // that arrives late is ignored rather than killing the test.
+    struct sigaction quiet = {};
+    struct sigaction previous = {};
+    quiet.sa_handler = ignoreSignal;
+    sigemptyset(&quiet.sa_mask);
+    ::sigaction(SIGINT, &quiet, &previous);
+    std::atomic<bool> finished{false};
+    std::thread interrupter([&] {
+        while (!finished.load()) {
+            std::ifstream in(options.journalPath);
+            std::string text{std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>()};
+            if (text.find("\"event\": \"done\"") != std::string::npos) {
+                ::kill(::getpid(), SIGINT);
+                return;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    });
+    auto first = runSweep(specs, options);
+    finished = true;
+    interrupter.join();
+    ::sigaction(SIGINT, &previous, nullptr);
+
+    ASSERT_TRUE(first.interrupted);
+    ASSERT_GE(first.executed, 1u);
+    ASSERT_LT(first.executed, specs.size());
+
+    options.resume = true;
+    auto resumed = runSweep(specs, options);
+    EXPECT_FALSE(resumed.interrupted);
+    EXPECT_EQ(resumed.restored, first.executed);
+    EXPECT_EQ(resumed.executed, specs.size() - first.executed);
+    if (resumed.executed >= 2) {
+        EXPECT_EQ(resumed.replayed, resumed.executed - 1);
+    }
+    expectSameSweep(specs, reference, resumed);
+}
+
+TEST(Telemetry, ProfilerAttributesWarmReplay)
+{
+    // On a sharing sweep every replaying run gets one funcwarm.replay
+    // scope in place of funcwarm, and results stay byte-identical.
+    auto specs = allDesignSpecs({"gcc", "mcf"});
+    SweepOptions options = quietOptions();
+    auto off = runSweep(specs, options);
+
+    prof::setEnabled(true);
+    auto on = runSweep(specs, options);
+    prof::setEnabled(false);
+    auto tree = prof::Registry::instance().snapshot();
+    prof::Registry::instance().reset();
+
+    EXPECT_EQ(on.replayed, 10u);
+    EXPECT_EQ(profCount(*tree, "funcwarm.replay"), on.replayed);
+    EXPECT_EQ(profCount(*tree, "funcwarm"),
+              specs.size() - on.replayed);
+    EXPECT_EQ(profCount(*tree, "run"), specs.size());
+    expectSameSweep(specs, off, on);
 }

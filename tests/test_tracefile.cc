@@ -88,8 +88,9 @@ expectEqual(const TraceRecord &a, const TraceRecord &b)
 {
     EXPECT_EQ(a.gap, b.gap);
     EXPECT_EQ(a.isIFetch, b.isIFetch);
-    if (!a.isIFetch)
+    if (!a.isIFetch) {
         EXPECT_EQ(a.type, b.type);
+    }
     EXPECT_EQ(a.blockAddr, b.blockAddr);
     EXPECT_EQ(a.dependsOnPrev, b.dependsOnPrev);
     EXPECT_EQ(a.mispredict, b.mispredict);
