@@ -292,9 +292,17 @@ System::warmLoop(cpu::TraceSource &source, std::uint64_t instructions,
 {
     CoreSlot &slot = cores[static_cast<std::size_t>(
         checkIndex(core_idx))];
-    std::uint64_t executed = 0;
-    while (executed < instructions)
-        executed += warmRecord(slot, source.next(), sink);
+    // On the (final) synthetic generator next() is a direct, inlinable
+    // call; any other source keeps the virtual one.
+    auto run = [&](auto &src) {
+        std::uint64_t executed = 0;
+        while (executed < instructions)
+            executed += warmRecord(slot, src.next(), sink);
+    };
+    if (auto *gen = dynamic_cast<workload::TraceGenerator *>(&source))
+        run(*gen);
+    else
+        run(source);
 }
 
 void

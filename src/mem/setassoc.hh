@@ -21,15 +21,54 @@ namespace tlsim
 namespace mem
 {
 
-/** State of one cache line frame. */
-struct LineState
+/**
+ * State of one cache line frame, 16 bytes: the tag, valid and dirty
+ * share one word (tag:62 | valid:1 | dirty:1) beside the LRU stamp,
+ * so a 4-way set fits in one 64 B host line.
+ */
+class LineState
 {
-    Addr tag = 0;
-    bool valid = false;
-    bool dirty = false;
+  public:
+    /** Widest tag a frame can hold. */
+    static constexpr unsigned tagBits = 62;
+    static constexpr Addr maxTag = (Addr(1) << tagBits) - 1;
+
+    Addr tag() const { return word & maxTag; }
+    bool valid() const { return (word & validBit) != 0; }
+    bool dirty() const { return (word & dirtyBit) != 0; }
+
+    /** True if the frame is valid and holds @p tag. */
+    bool
+    holds(Addr tag) const
+    {
+        return (word & ~dirtyBit) == (tag | validBit);
+    }
+
+    /** Make the frame a valid copy of @p tag (panics past maxTag). */
+    void
+    fill(Addr tag, bool dirty)
+    {
+        TLSIM_ASSERT(tag <= maxTag, "tag {:#x} is wider than {} bits",
+                     tag, tagBits);
+        word = tag | validBit | (dirty ? dirtyBit : 0);
+    }
+
+    void markDirty() { word |= dirtyBit; }
+
+    /** Clear valid; the tag and dirty bits stay as they were. */
+    void invalidate() { word &= ~validBit; }
+
     /** LRU timestamp (monotonic counter supplied by the caller). */
     std::uint64_t lastUse = 0;
+
+  private:
+    static constexpr Addr validBit = Addr(1) << 62;
+    static constexpr Addr dirtyBit = Addr(1) << 63;
+
+    Addr word = 0;
 };
+
+static_assert(sizeof(LineState) == 16);
 
 /** Result of an insertion: the victim, if a valid line was evicted. */
 struct Eviction
@@ -79,7 +118,7 @@ class SetAssocArray
     blockAddrOf(std::uint32_t set, std::uint32_t way) const
     {
         const LineState &line = at(set, way);
-        return (line.tag << setShift()) | set;
+        return (line.tag() << setShift()) | set;
     }
 
     /** Find the way holding the block, if present. */
@@ -89,8 +128,7 @@ class SetAssocArray
         std::uint32_t set = setIndex(block_addr);
         Addr tag = tagOf(block_addr);
         for (std::uint32_t w = 0; w < numWays; ++w) {
-            const LineState &line = at(set, w);
-            if (line.valid && line.tag == tag)
+            if (at(set, w).holds(tag))
                 return w;
         }
         return std::nullopt;
@@ -103,11 +141,11 @@ class SetAssocArray
     {
         std::uint32_t set = setIndex(block_addr);
         LineState &line = at(set, way);
-        TLSIM_ASSERT(line.valid && line.tag == tagOf(block_addr),
+        TLSIM_ASSERT(line.holds(tagOf(block_addr)),
                      "touch of non-resident block");
         line.lastUse = use_counter;
         if (make_dirty)
-            line.dirty = true;
+            line.markDirty();
     }
 
     /**
@@ -121,13 +159,11 @@ class SetAssocArray
         std::uint32_t victim = victimWay(set);
         LineState &line = at(set, victim);
         std::optional<Eviction> evicted;
-        if (line.valid) {
-            evicted = Eviction{(line.tag << setShift()) | set,
-                               line.dirty};
+        if (line.valid()) {
+            evicted = Eviction{(line.tag() << setShift()) | set,
+                               line.dirty()};
         }
-        line.tag = tagOf(block_addr);
-        line.valid = true;
-        line.dirty = dirty;
+        line.fill(tagOf(block_addr), dirty);
         line.lastUse = use_counter;
         return evicted;
     }
@@ -146,7 +182,7 @@ class SetAssocArray
         int matches = 0;
         for (std::uint32_t w = 0; w < numWays; ++w) {
             const LineState &line = at(set, w);
-            if (line.valid && (line.tag & mask) == ptag)
+            if (line.valid() && (line.tag() & mask) == ptag)
                 ++matches;
         }
         return matches;
@@ -159,7 +195,7 @@ class SetAssocArray
         auto way = lookup(block_addr);
         if (!way)
             return false;
-        at(setIndex(block_addr), *way).valid = false;
+        at(setIndex(block_addr), *way).invalidate();
         return true;
     }
 
@@ -171,7 +207,7 @@ class SetAssocArray
         std::uint64_t oldest = ~std::uint64_t(0);
         for (std::uint32_t w = 0; w < numWays; ++w) {
             const LineState &line = at(set, w);
-            if (!line.valid)
+            if (!line.valid())
                 return w;
             if (line.lastUse < oldest) {
                 oldest = line.lastUse;
@@ -200,7 +236,7 @@ class SetAssocArray
     {
         std::uint64_t n = 0;
         for (const auto &line : lines)
-            n += line.valid ? 1 : 0;
+            n += line.valid() ? 1 : 0;
         return n;
     }
 

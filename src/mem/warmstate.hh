@@ -102,13 +102,13 @@ writeArray(std::ostream &os, const SetAssocArray &array)
     for (std::uint32_t set = 0; set < array.sets(); ++set) {
         for (std::uint32_t way = 0; way < array.ways(); ++way) {
             const LineState &line = array.at(set, way);
-            if (!line.valid)
+            if (!line.valid())
                 continue;
             putU32(os, set);
             putU32(os, way);
-            putU64(os, line.tag);
+            putU64(os, line.tag());
             putU64(os, line.lastUse);
-            putU8(os, line.dirty ? 1 : 0);
+            putU8(os, line.dirty() ? 1 : 0);
         }
     }
 }
@@ -139,12 +139,11 @@ readArray(std::istream &is, SetAssocArray &array)
         if (!getU32(is, set) || !getU32(is, way) || !getU64(is, tag) ||
             !getU64(is, last_use) || !getU8(is, dirty))
             return false;
-        if (set >= array.sets() || way >= array.ways())
+        if (set >= array.sets() || way >= array.ways() ||
+            tag > LineState::maxTag)
             return false;
         LineState &line = array.at(set, way);
-        line.tag = tag;
-        line.valid = true;
-        line.dirty = dirty != 0;
+        line.fill(tag, dirty != 0);
         line.lastUse = last_use;
     }
     return true;

@@ -27,7 +27,7 @@ BankSetArray::lookup(Addr block_addr) const
         for (std::uint32_t way = 0; way < cfg.waysPerBank; ++way) {
             const auto &line =
                 frames[frameIndex(bank_set, set, bank, way)];
-            if (line.valid && line.tag == tag)
+            if (line.holds(tag))
                 return BankLocation{bank_set, set, bank, way};
         }
     }
@@ -49,8 +49,8 @@ BankSetArray::partialTagCandidates(Addr block_addr,
         for (std::uint32_t way = 0; way < cfg.waysPerBank; ++way) {
             const auto &line =
                 frames[frameIndex(bank_set, set, bank, way)];
-            if (line.valid &&
-                static_cast<std::uint32_t>(line.tag & mask) == ptag) {
+            if (line.valid() &&
+                static_cast<std::uint32_t>(line.tag() & mask) == ptag) {
                 candidates.push_back(bank);
                 break;
             }
@@ -64,10 +64,10 @@ BankSetArray::touch(const BankLocation &loc, std::uint64_t use_counter,
                     bool make_dirty)
 {
     auto &line = frame(loc);
-    TLSIM_ASSERT(line.valid, "touch of invalid frame");
+    TLSIM_ASSERT(line.valid(), "touch of invalid frame");
     line.lastUse = use_counter;
     if (make_dirty)
-        line.dirty = true;
+        line.markDirty();
 }
 
 BankLocation
@@ -75,7 +75,7 @@ BankSetArray::promote(const BankLocation &loc, std::uint64_t use_counter)
 {
     TLSIM_ASSERT(loc.bank > 0, "cannot promote from the head bank");
     auto &line = frame(loc);
-    TLSIM_ASSERT(line.valid, "promote of invalid frame");
+    TLSIM_ASSERT(line.valid(), "promote of invalid frame");
 
     // Victim: LRU way of the same set in the next-closer bank.
     BankLocation dst{loc.bankSet, loc.setIndex, loc.bank - 1, 0};
@@ -84,7 +84,7 @@ BankSetArray::promote(const BankLocation &loc, std::uint64_t use_counter)
     for (std::uint32_t way = 0; way < cfg.waysPerBank; ++way) {
         BankLocation cand{loc.bankSet, loc.setIndex, loc.bank - 1, way};
         const auto &cand_line = frame(cand);
-        if (!cand_line.valid) {
+        if (!cand_line.valid()) {
             dst = cand;
             found_invalid = true;
             break;
@@ -98,7 +98,7 @@ BankSetArray::promote(const BankLocation &loc, std::uint64_t use_counter)
     auto &dst_line = frame(dst);
     if (found_invalid) {
         dst_line = line;
-        line.valid = false;
+        line.invalidate();
     } else {
         std::swap(line, dst_line);
     }
@@ -127,7 +127,7 @@ BankSetArray::insertAt(Addr block_addr, std::uint32_t tail,
     std::uint64_t oldest = ~std::uint64_t(0);
     for (std::uint32_t way = 0; way < cfg.waysPerBank; ++way) {
         const auto &line = frames[frameIndex(bank_set, set, tail, way)];
-        if (!line.valid) {
+        if (!line.valid()) {
             victim_way = way;
             oldest = 0;
             break;
@@ -140,13 +140,11 @@ BankSetArray::insertAt(Addr block_addr, std::uint32_t tail,
 
     auto &line = frames[frameIndex(bank_set, set, tail, victim_way)];
     std::optional<mem::Eviction> evicted;
-    if (line.valid) {
+    if (line.valid()) {
         BankLocation loc{bank_set, set, tail, victim_way};
-        evicted = mem::Eviction{blockAddrAt(loc), line.dirty};
+        evicted = mem::Eviction{blockAddrAt(loc), line.dirty()};
     }
-    line.tag = tagOf(block_addr);
-    line.valid = true;
-    line.dirty = dirty;
+    line.fill(tagOf(block_addr), dirty);
     line.lastUse = use_counter;
     return evicted;
 }
@@ -155,8 +153,8 @@ Addr
 BankSetArray::blockAddrAt(const BankLocation &loc) const
 {
     const auto &line = frame(loc);
-    TLSIM_ASSERT(line.valid, "blockAddrAt of invalid frame");
-    return (line.tag << (bankSetShift() + setShift())) |
+    TLSIM_ASSERT(line.valid(), "blockAddrAt of invalid frame");
+    return (line.tag() << (bankSetShift() + setShift())) |
            (static_cast<Addr>(loc.setIndex) << bankSetShift()) |
            loc.bankSet;
 }
@@ -180,7 +178,7 @@ BankSetArray::validCount() const
 {
     std::uint64_t count = 0;
     for (const auto &line : frames)
-        count += line.valid ? 1 : 0;
+        count += line.valid() ? 1 : 0;
     return count;
 }
 

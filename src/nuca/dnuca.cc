@@ -268,15 +268,15 @@ DnucaCache::saveWarmState(std::ostream &os) const
                      ++way) {
                     const mem::LineState &line =
                         array.frame(BankLocation{bs, set, bank, way});
-                    if (!line.valid)
+                    if (!line.valid())
                         continue;
                     mem::warm::putU32(os, bs);
                     mem::warm::putU32(os, set);
                     mem::warm::putU32(os, bank);
                     mem::warm::putU32(os, way);
-                    mem::warm::putU64(os, line.tag);
+                    mem::warm::putU64(os, line.tag());
                     mem::warm::putU64(os, line.lastUse);
-                    mem::warm::putU8(os, line.dirty ? 1 : 0);
+                    mem::warm::putU8(os, line.dirty() ? 1 : 0);
                 }
             }
         }
@@ -317,13 +317,12 @@ DnucaCache::loadWarmState(std::istream &is)
             !mem::warm::getU8(is, dirty))
             return false;
         if (bs >= bc.numBankSets || set >= bc.setsPerBankSet ||
-            bank >= bc.banksPerSet || way >= bc.waysPerBank)
+            bank >= bc.banksPerSet || way >= bc.waysPerBank ||
+            tag > mem::LineState::maxTag)
             return false;
         mem::LineState &line =
             array.frame(BankLocation{bs, set, bank, way});
-        line.tag = tag;
-        line.valid = true;
-        line.dirty = dirty != 0;
+        line.fill(tag, dirty != 0);
         line.lastUse = last_use;
     }
     useCounter = counter;

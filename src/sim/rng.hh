@@ -93,11 +93,17 @@ class Rng
         return lo + below(hi - lo + 1);
     }
 
+    /**
+     * Uniform 53-bit integer in [0, 2^53): the mantissa of the next
+     * real(), which is exactly bits53() * 2^-53.
+     */
+    std::uint64_t bits53() { return next() >> 11; }
+
     /** Uniform double in [0, 1). */
     double
     real()
     {
-        return (next() >> 11) * 0x1.0p-53;
+        return bits53() * 0x1.0p-53;
     }
 
     /** Bernoulli trial with success probability p. */
@@ -111,48 +117,13 @@ class Rng
      * Geometrically distributed count with mean @p mean (>= 0).
      * Used for "instructions until next event" style draws.
      */
-    std::uint64_t
-    geometric(double mean)
-    {
-        if (mean <= 0.0)
-            return 0;
-        double p = 1.0 / (mean + 1.0);
-        double u = real();
-        if (u >= 1.0)
-            u = 0.9999999999999999;
-        // Inverse-CDF of the geometric distribution on {0, 1, 2, ...}.
-        double g = std::log(1.0 - u) / std::log(1.0 - p);
-        if (g > 1e18)
-            g = 1e18;
-        return static_cast<std::uint64_t>(g);
-    }
+    std::uint64_t geometric(double mean);
 
     /**
      * Zipf-like rank selection over n items with exponent s, using a
      * fast approximate inverse-CDF (good enough for workload skew).
      */
-    std::uint64_t
-    zipf(std::uint64_t n, double s)
-    {
-        TLSIM_ASSERT(n > 0, "Rng::zipf requires n > 0");
-        if (s <= 0.0)
-            return below(n);
-        // Approximate inverse CDF for the continuous analogue.
-        double u = real();
-        double one_minus_s = 1.0 - s;
-        double nn = static_cast<double>(n);
-        double rank;
-        if (one_minus_s > 1e-9 || one_minus_s < -1e-9) {
-            double max_cdf = std::pow(nn, one_minus_s) - 1.0;
-            rank = std::pow(1.0 + u * max_cdf, 1.0 / one_minus_s);
-        } else {
-            rank = std::exp(u * std::log(nn));
-        }
-        std::uint64_t r = static_cast<std::uint64_t>(rank);
-        if (r >= n)
-            r = n - 1;
-        return r;
-    }
+    std::uint64_t zipf(std::uint64_t n, double s);
 
   private:
     static std::uint64_t
@@ -163,6 +134,135 @@ class Rng
 
     std::uint64_t state[4];
 };
+
+/**
+ * Rng::geometric for a fixed mean. It holds the constant log(1 - p),
+ * so a draw costs one std::log; the constant is the same double
+ * expression Rng::geometric would evaluate, so draws are exact.
+ */
+class GeometricDist
+{
+  public:
+    explicit GeometricDist(double mean)
+        : drawn(!(mean <= 0.0)),
+          logQ(drawn ? std::log(1.0 - 1.0 / (mean + 1.0)) : 0.0)
+    {
+    }
+
+    std::uint64_t
+    operator()(Rng &rng) const
+    {
+        if (!drawn)
+            return 0;
+        double u = rng.real();
+        if (u >= 1.0)
+            u = 0.9999999999999999;
+        // Inverse-CDF of the geometric distribution on {0, 1, 2, ...}.
+        double g = std::log(1.0 - u) / logQ;
+        if (g > 1e18)
+            g = 1e18;
+        return static_cast<std::uint64_t>(g);
+    }
+
+  private:
+    /** False for mean <= 0: the draw is 0 and consumes nothing. */
+    bool drawn;
+    double logQ;
+};
+
+/**
+ * Rng::zipf for fixed (n, s). It holds pow(n, 1 - s) - 1 and
+ * 1 / (1 - s), or log(n) for s within 1e-9 of 1, so a draw costs one
+ * std::pow or std::exp. n > 0 is checked per draw, so a distribution
+ * that is never drawn from may be built with n == 0.
+ */
+class ZipfDist
+{
+  public:
+    ZipfDist(std::uint64_t n, double s)
+        : items(n), uniform(s <= 0.0),
+          power(1.0 - s > 1e-9 || 1.0 - s < -1e-9)
+    {
+        if (uniform)
+            return;
+        double nn = static_cast<double>(n);
+        if (power) {
+            maxCdf = std::pow(nn, 1.0 - s) - 1.0;
+            invExponent = 1.0 / (1.0 - s);
+        } else {
+            logN = std::log(nn);
+        }
+    }
+
+    std::uint64_t
+    operator()(Rng &rng) const
+    {
+        TLSIM_ASSERT(items > 0, "Rng::zipf requires n > 0");
+        if (uniform)
+            return rng.below(items);
+        // Approximate inverse CDF for the continuous analogue.
+        double u = rng.real();
+        double rank = power ? std::pow(1.0 + u * maxCdf, invExponent)
+                            : std::exp(u * logN);
+        std::uint64_t r = static_cast<std::uint64_t>(rank);
+        if (r >= items)
+            r = items - 1;
+        return r;
+    }
+
+  private:
+    std::uint64_t items;
+    /** s <= 0: a uniform rank. */
+    bool uniform;
+    /** |1 - s| > 1e-9: the power-law branch, else the s == 1 one. */
+    bool power;
+    double maxCdf = 0.0;
+    double invExponent = 0.0;
+    double logN = 0.0;
+};
+
+/**
+ * Rng::chance for a fixed p, as an integer compare. real() is
+ * m * 2^-53 for the 53-bit m = bits53(), so real() < p holds exactly
+ * when m < ceil(p * 2^53) (the product is exact: a power-of-two
+ * scale).
+ */
+class BernoulliDist
+{
+  public:
+    explicit BernoulliDist(double p) : threshold(thresholdOf(p)) {}
+
+    bool operator()(Rng &rng) const { return hit(rng.bits53()); }
+
+    /** The trial on an already drawn m = bits53(). */
+    bool hit(std::uint64_t m) const { return m < threshold; }
+
+  private:
+    static std::uint64_t
+    thresholdOf(double p)
+    {
+        constexpr double scale = 0x1.0p53;
+        if (!(p > 0.0)) // also NaN: real() < NaN never holds
+            return 0;
+        if (p >= 1.0)
+            return std::uint64_t(1) << 53;
+        return static_cast<std::uint64_t>(std::ceil(p * scale));
+    }
+
+    std::uint64_t threshold;
+};
+
+inline std::uint64_t
+Rng::geometric(double mean)
+{
+    return GeometricDist(mean)(*this);
+}
+
+inline std::uint64_t
+Rng::zipf(std::uint64_t n, double s)
+{
+    return ZipfDist(n, s)(*this);
+}
 
 } // namespace tlsim
 

@@ -7,24 +7,43 @@ namespace tlsim
 namespace workload
 {
 
+namespace
+{
+
+/** Convert mispredicts/1K-instr into a per-jump probability. */
+double
+mispredictPerJump(const BenchmarkProfile &prof)
+{
+    double jumps_per_1k =
+        1000.0 / std::max(1.0, prof.instrPerIBlock) * prof.jumpProb;
+    if (jumps_per_1k > 0.0)
+        return std::min(1.0, prof.mispredictsPer1k / jumps_per_1k);
+    return 0.0;
+}
+
+} // namespace
+
 TraceGenerator::TraceGenerator(const BenchmarkProfile &profile,
                                std::uint64_t run_seed)
     : prof(profile),
       rng(profile.seed * 0x9e3779b97f4a7c15ULL + run_seed),
+      ifetchGap(std::max(1.0, prof.instrPerIBlock) - 1.0),
+      dataGap(std::max(1.0, prof.instrPerMem) - 1.0),
+      warmRank(prof.warmBlocks, prof.zipfS),
+      instrRank(prof.iBlocks, prof.iZipfS),
+      store(prof.storeFrac),
+      depends(prof.depFrac),
+      hot(prof.hotFrac),
+      hotOrWarm(prof.hotFrac + prof.warmFrac),
+      warmReuse(prof.warmReuseFrac),
+      churn(prof.churnFrac),
+      jump(prof.jumpProb),
+      mispredict(mispredictPerJump(prof)),
       curIBlock(instrBase)
 {
     TLSIM_ASSERT(prof.hotFrac + prof.warmFrac <= 1.0,
                  "profile '{}' fractions exceed 1", prof.name);
-    instrToNextIFetch =
-        1 + rng.geometric(std::max(1.0, prof.instrPerIBlock) - 1.0);
-
-    // Convert mispredicts/1K-instr into a per-jump probability.
-    double jumps_per_1k =
-        1000.0 / std::max(1.0, prof.instrPerIBlock) * prof.jumpProb;
-    if (jumps_per_1k > 0.0) {
-        mispredictPerJump =
-            std::min(1.0, prof.mispredictsPer1k / jumps_per_1k);
-    }
+    instrToNextIFetch = 1 + ifetchGap(rng);
 }
 
 std::uint64_t
@@ -61,23 +80,21 @@ TraceGenerator::drawDataOp()
 {
     pendingData = cpu::TraceRecord{};
     pendingData.isIFetch = false;
-    pendingData.type = rng.chance(prof.storeFrac)
-                           ? mem::AccessType::Store
-                           : mem::AccessType::Load;
-    pendingData.dependsOnPrev = rng.chance(prof.depFrac);
+    pendingData.type = store(rng) ? mem::AccessType::Store
+                                  : mem::AccessType::Load;
+    pendingData.dependsOnPrev = depends(rng);
 
-    double u = rng.real();
-    if (u < prof.hotFrac) {
+    std::uint64_t u = rng.bits53();
+    if (hot.hit(u)) {
         pendingData.blockAddr = hotBase + rng.below(prof.hotBlocks);
-    } else if (u < prof.hotFrac + prof.warmFrac) {
+    } else if (hotOrWarm.hit(u)) {
         Addr block;
-        if (!recentWarm.empty() && rng.chance(prof.warmReuseFrac)) {
+        if (!recentWarm.empty() && warmReuse(rng)) {
             // Temporally clustered re-reference of a recent block.
             block = recentWarm[rng.below(recentWarm.size())];
         } else {
             block = warmBase +
-                    scramble(rng.zipf(prof.warmBlocks, prof.zipfS),
-                             prof.warmBlocks);
+                    scramble(warmRank(rng), prof.warmBlocks);
             if (recentWarm.size() < prof.reuseWindow) {
                 recentWarm.push_back(block);
             } else {
@@ -94,12 +111,12 @@ TraceGenerator::drawDataOp()
     }
 
     // Slow working-set churn: touch a brand-new block.
-    if (prof.churnFrac > 0.0 && rng.chance(prof.churnFrac))
+    if (prof.churnFrac > 0.0 && churn(rng))
         pendingData.blockAddr = churnBase + churnPtr++;
 
     pendingData.blockAddr = tagScramble(pendingData.blockAddr);
 
-    remainingGap = rng.geometric(std::max(1.0, prof.instrPerMem) - 1.0);
+    remainingGap = dataGap(rng);
     havePendingData = true;
 }
 
@@ -107,7 +124,7 @@ Addr
 TraceGenerator::nextInstrBlock(bool jumped)
 {
     if (jumped) {
-        curIBlock = instrBase + rng.zipf(prof.iBlocks, prof.iZipfS);
+        curIBlock = instrBase + instrRank(rng);
     } else {
         Addr offset = curIBlock - instrBase;
         curIBlock = instrBase + ((offset + 1) % prof.iBlocks);
@@ -125,12 +142,11 @@ TraceGenerator::next()
         cpu::TraceRecord rec;
         rec.isIFetch = true;
         rec.gap = static_cast<std::uint32_t>(instrToNextIFetch);
-        bool jumped = rng.chance(prof.jumpProb);
+        bool jumped = jump(rng);
         rec.blockAddr = tagScramble(nextInstrBlock(jumped));
-        rec.mispredict = jumped && rng.chance(mispredictPerJump);
+        rec.mispredict = jumped && mispredict(rng);
         remainingGap -= instrToNextIFetch;
-        instrToNextIFetch =
-            1 + rng.geometric(std::max(1.0, prof.instrPerIBlock) - 1.0);
+        instrToNextIFetch = 1 + ifetchGap(rng);
         return rec;
     }
 

@@ -30,7 +30,7 @@ namespace workload
  *
  * The generator is deterministic given (profile.seed, run_seed).
  */
-class TraceGenerator : public cpu::TraceSource
+class TraceGenerator final : public cpu::TraceSource
 {
   public:
     /** Region bases in block-address space. */
@@ -70,6 +70,21 @@ class TraceGenerator : public cpu::TraceSource
     BenchmarkProfile prof;
     Rng rng;
 
+    /** The profile's draws, with their constants precomputed. */
+    GeometricDist ifetchGap; ///< instructions between ifetches, less 1
+    GeometricDist dataGap;   ///< instructions before a data op
+    ZipfDist warmRank;
+    ZipfDist instrRank;
+    BernoulliDist store;
+    BernoulliDist depends;
+    /** Two thresholds on one draw: hot below, warm below hotOrWarm. */
+    BernoulliDist hot;
+    BernoulliDist hotOrWarm;
+    BernoulliDist warmReuse;
+    BernoulliDist churn;
+    BernoulliDist jump;
+    BernoulliDist mispredict;
+
     bool havePendingData = false;
     cpu::TraceRecord pendingData;
     std::uint64_t remainingGap = 0;
@@ -78,7 +93,6 @@ class TraceGenerator : public cpu::TraceSource
     Addr curIBlock;
     std::uint64_t streamPtr = 0;
     std::uint64_t churnPtr = 0;
-    double mispredictPerJump = 0.0;
 
     /** Recent warm blocks, for temporally clustered re-references. */
     std::vector<Addr> recentWarm;

@@ -195,7 +195,7 @@ TEST(BankSet, TouchUpdatesDirty)
     array.insertAtTail(addr, 1, false);
     auto loc = array.lookup(addr);
     array.touch(*loc, 2, true);
-    EXPECT_TRUE(array.frame(*loc).dirty);
+    EXPECT_TRUE(array.frame(*loc).dirty());
 }
 
 TEST(BankSet, RandomizedCapacityInvariant)
@@ -217,4 +217,20 @@ TEST(BankSet, RandomizedCapacityInvariant)
     }
     EXPECT_LE(array.validCount(), array.capacityBlocks());
     EXPECT_GT(array.validCount(), 0u);
+}
+
+TEST(BankSet, TagWiderThan62BitsPanics)
+{
+    BankSetConfig cfg;
+    cfg.numBankSets = 1;
+    cfg.setsPerBankSet = 1;
+    BankSetArray array(cfg);
+    // One bank set of one set: the tag is the whole block address.
+    EXPECT_THROW(array.insertAtTail(Addr(1) << 62, 1, false), PanicError);
+    auto evicted =
+        array.insertAtTail(mem::LineState::maxTag, 1, true);
+    EXPECT_FALSE(evicted.has_value());
+    auto loc = array.lookup(mem::LineState::maxTag);
+    ASSERT_TRUE(loc.has_value());
+    EXPECT_EQ(array.blockAddrAt(*loc), mem::LineState::maxTag);
 }

@@ -50,6 +50,17 @@ struct BackendParam
     conf::OptionMap options;
 };
 
+/**
+ * Print a parameter as its registry name, so the listed test names
+ * are stable (the default printer dumps the raw bytes, including the
+ * load address of the name string).
+ */
+void
+PrintTo(const BackendParam &param, std::ostream *os)
+{
+    *os << param.name;
+}
+
 std::string
 paramName(const ::testing::TestParamInfo<BackendParam> &info)
 {
@@ -69,12 +80,7 @@ class MemBackendConformance
     }
 };
 
-/**
- * Contract tests that need only the backend's registry name. The
- * parameter is the name itself, so the listed test names are stable:
- * a BackendParam prints as its raw bytes, which include the
- * load-address of its name string.
- */
+/** Contract tests that need only the backend's registry name. */
 class MemBackendContract : public ::testing::TestWithParam<std::string>
 {
   protected:

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "workload/generator.hh"
 
@@ -77,6 +78,29 @@ runGenerator(TraceGenerator &gen, int records)
             ++tally.hot;
     }
     return tally;
+}
+
+/** 64-bit FNV-1a over every field of the first @p records records. */
+std::uint64_t
+streamDigest(TraceGenerator &gen, int records)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    auto mix = [&hash](std::uint64_t value, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            hash ^= (value >> (8 * i)) & 0xff;
+            hash *= 0x100000001b3ULL;
+        }
+    };
+    for (int i = 0; i < records; ++i) {
+        TraceRecord rec = gen.next();
+        mix(rec.gap, 4);
+        mix(rec.isIFetch, 1);
+        mix(static_cast<std::uint64_t>(rec.type), 1);
+        mix(rec.blockAddr, 8);
+        mix(rec.dependsOnPrev, 1);
+        mix(rec.mispredict, 1);
+    }
+    return hash;
 }
 
 } // namespace
@@ -276,4 +300,37 @@ TEST(Generator, InvalidFractionsPanic)
     profile.hotFrac = 0.8;
     profile.warmFrac = 0.5;
     EXPECT_THROW(TraceGenerator gen(profile), PanicError);
+}
+
+// Golden digests of the first 200k records of each paper profile at
+// run seeds 0 and 9973. Any change to the generator or the RNG
+// distributions that alters a single draw changes these; a change
+// that is meant to be exact must leave them alone.
+TEST(Generator, GoldenStreamDigests)
+{
+    const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+        golden = {
+            {"bzip", {0x7407b3dbd76d0446ULL, 0x9e9b152ccfd70738ULL}},
+            {"gcc", {0xcdac31cf4cb5a848ULL, 0x16d9718151e906b1ULL}},
+            {"mcf", {0xa9443b6268e119afULL, 0xa2f9a18ffefaeb8dULL}},
+            {"perl", {0x7984965e82b166a5ULL, 0xbe58f5e20f3aab16ULL}},
+            {"equake", {0xbaf8795796fbb3d8ULL, 0x39836220f20e74eeULL}},
+            {"swim", {0x144b32ba82f89043ULL, 0x286fd8ce0395f998ULL}},
+            {"applu", {0x1b6fee086bf5bff9ULL, 0xbec9f95ecaf7869bULL}},
+            {"lucas", {0x9dd5ca1021726395ULL, 0x77bfb160b5de651bULL}},
+            {"apache", {0x9edc0b5903d80560ULL, 0x26ad37ec272bd99cULL}},
+            {"zeus", {0x4895f28c54ef40d3ULL, 0x4faea458794a6116ULL}},
+            {"sjbb", {0x53a125e58e254268ULL, 0x3f7cd45bef68a18aULL}},
+            {"oltp", {0xea0a6301932ef252ULL, 0xea5c3e1414b75fb1ULL}},
+        };
+    ASSERT_EQ(paperBenchmarks().size(), golden.size());
+    for (const auto &profile : paperBenchmarks()) {
+        auto it = golden.find(profile.name);
+        ASSERT_NE(it, golden.end()) << profile.name;
+        TraceGenerator a(profile, 0), b(profile, 9973);
+        EXPECT_EQ(streamDigest(a, 200'000), it->second.first)
+            << profile.name << " run seed 0";
+        EXPECT_EQ(streamDigest(b, 200'000), it->second.second)
+            << profile.name << " run seed 9973";
+    }
 }

@@ -5,12 +5,60 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "sim/rng.hh"
 
 using namespace tlsim;
+
+namespace
+{
+
+// The draws as Rng implemented them before the precomputed
+// distributions existed, kept verbatim as the exactness reference.
+
+std::uint64_t
+refGeometric(Rng &rng, double mean)
+{
+    if (mean <= 0.0)
+        return 0;
+    double p = 1.0 / (mean + 1.0);
+    double u = rng.real();
+    if (u >= 1.0)
+        u = 0.9999999999999999;
+    double g = std::log(1.0 - u) / std::log(1.0 - p);
+    if (g > 1e18)
+        g = 1e18;
+    return static_cast<std::uint64_t>(g);
+}
+
+std::uint64_t
+refZipf(Rng &rng, std::uint64_t n, double s)
+{
+    if (s <= 0.0)
+        return rng.below(n);
+    double u = rng.real();
+    double one_minus_s = 1.0 - s;
+    double nn = static_cast<double>(n);
+    double rank;
+    if (one_minus_s > 1e-9 || one_minus_s < -1e-9) {
+        double max_cdf = std::pow(nn, one_minus_s) - 1.0;
+        rank = std::pow(1.0 + u * max_cdf, 1.0 / one_minus_s);
+    } else {
+        rank = std::exp(u * std::log(nn));
+    }
+    std::uint64_t r = static_cast<std::uint64_t>(rank);
+    if (r >= n)
+        r = n - 1;
+    return r;
+}
+
+constexpr int exactDraws = 20'000;
+
+} // namespace
 
 TEST(Rng, SameSeedSameSequence)
 {
@@ -179,3 +227,97 @@ TEST_P(RngBoundSweep, BelowAlwaysInBounds)
 INSTANTIATE_TEST_SUITE_P(Bounds, RngBoundSweep,
                          ::testing::Values(1, 2, 3, 7, 16, 100, 1023,
                                            1024, 1u << 20));
+
+// GeometricDist and Rng::geometric draw for draw equal to the old
+// formula, and consume the same number of raw values.
+TEST(RngDist, GeometricMatchesReference)
+{
+    for (double mean : {0.0, -0.0, -1.0, -1e-300, 1e-9, 0.5, 1.0, 3.0,
+                        15.0, 63.0, 1e3, 1e6, 1e12, 1e15}) {
+        GeometricDist dist(mean);
+        Rng a(11), b(11), c(11);
+        for (int i = 0; i < exactDraws; ++i) {
+            std::uint64_t want = refGeometric(c, mean);
+            ASSERT_EQ(dist(a), want) << "mean " << mean << " draw " << i;
+            ASSERT_EQ(b.geometric(mean), want) << "mean " << mean;
+        }
+        std::uint64_t after = c.next();
+        EXPECT_EQ(a.next(), after) << "mean " << mean;
+        EXPECT_EQ(b.next(), after) << "mean " << mean;
+    }
+}
+
+TEST(RngDist, ZipfMatchesReference)
+{
+    for (double s : {-0.5, 0.0, 0.4, 0.8, 1.0 - 1e-10, 1.0, 1.0 + 1e-10,
+                     1.2, 2.5}) {
+        for (std::uint64_t n : {std::uint64_t(1), std::uint64_t(2),
+                                std::uint64_t(512), std::uint64_t(32768),
+                                std::uint64_t(1) << 40}) {
+            ZipfDist dist(n, s);
+            Rng a(17), b(17), c(17);
+            for (int i = 0; i < exactDraws; ++i) {
+                std::uint64_t want = refZipf(c, n, s);
+                ASSERT_EQ(dist(a), want)
+                    << "s " << s << " n " << n << " draw " << i;
+                ASSERT_EQ(b.zipf(n, s), want) << "s " << s << " n " << n;
+            }
+            std::uint64_t after = c.next();
+            EXPECT_EQ(a.next(), after) << "s " << s << " n " << n;
+            EXPECT_EQ(b.next(), after) << "s " << s << " n " << n;
+        }
+    }
+}
+
+TEST(RngDist, ZipfChecksItemsAtDrawTime)
+{
+    // Building over zero items is allowed (profiles that never draw
+    // from a distribution still construct); drawing panics.
+    ZipfDist dist(0, 0.8);
+    Rng rng(1);
+    EXPECT_THROW(dist(rng), PanicError);
+    EXPECT_THROW(rng.zipf(0, 1.0), PanicError);
+}
+
+TEST(RngDist, BernoulliMatchesChance)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double p : {0.0, -0.0, -1.0, 1.0, 1.5, inf, -inf, nan,
+                     std::numeric_limits<double>::denorm_min(), DBL_MIN,
+                     0x1.0p-53, 0x1.0p-54, 0x1.8p-53, 1e-17, 0.1,
+                     1.0 / 3.0, 0.5, std::nextafter(1.0, 0.0)}) {
+        BernoulliDist dist(p);
+        Rng a(23), c(23);
+        for (int i = 0; i < exactDraws; ++i) {
+            bool want = c.chance(p);
+            ASSERT_EQ(dist(a), want) << "p " << p << " draw " << i;
+        }
+        EXPECT_EQ(a.next(), c.next()) << "p " << p;
+
+        // Random draws almost never land on the threshold; check the
+        // mantissas around it directly: hit(m) == (m * 2^-53 < p).
+        double scaled = p * 0x1.0p53;
+        std::uint64_t top = std::uint64_t(1) << 53;
+        std::uint64_t edge = 0;
+        if (scaled > 0.0)
+            edge = scaled >= 0x1.0p53 ? top
+                                      : static_cast<std::uint64_t>(scaled);
+        for (std::uint64_t m :
+             {std::uint64_t(0), std::uint64_t(1), std::uint64_t(2),
+              edge > 0 ? edge - 1 : 0, edge, edge + 1, top - 2,
+              top - 1}) {
+            if (m >= top)
+                continue;
+            EXPECT_EQ(dist.hit(m), m * 0x1.0p-53 < p)
+                << "p " << p << " m " << m;
+        }
+    }
+}
+
+TEST(RngDist, BitsAreTheRealMantissa)
+{
+    Rng a(29), b(29);
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(a.bits53() * 0x1.0p-53, b.real());
+}

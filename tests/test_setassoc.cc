@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "mem/setassoc.hh"
+#include "mem/warmstate.hh"
 #include "sim/rng.hh"
 
 using namespace tlsim;
@@ -145,6 +148,80 @@ TEST(SetAssoc, TouchWrongBlockPanics)
     SetAssocArray array(16, 2);
     array.insert(0x10, 1, false);
     EXPECT_THROW(array.touch(0x20, 0, 2, false), PanicError);
+}
+
+TEST(LineState, SixteenBytesRoundTripWidestTag)
+{
+    EXPECT_EQ(sizeof(LineState), 16u);
+    LineState line;
+    EXPECT_FALSE(line.valid());
+    line.fill(LineState::maxTag, true);
+    line.lastUse = ~std::uint64_t(0);
+    EXPECT_EQ(LineState::maxTag, (Addr(1) << 62) - 1);
+    EXPECT_EQ(line.tag(), LineState::maxTag);
+    EXPECT_TRUE(line.valid());
+    EXPECT_TRUE(line.dirty());
+    EXPECT_TRUE(line.holds(LineState::maxTag));
+    EXPECT_FALSE(line.holds(LineState::maxTag - 1));
+    EXPECT_EQ(line.lastUse, ~std::uint64_t(0));
+
+    // Invalidation clears valid only, as it did with separate fields.
+    line.invalidate();
+    EXPECT_FALSE(line.valid());
+    EXPECT_FALSE(line.holds(LineState::maxTag));
+    EXPECT_EQ(line.tag(), LineState::maxTag);
+    EXPECT_TRUE(line.dirty());
+
+    line.fill(0, false);
+    EXPECT_TRUE(line.holds(0));
+    EXPECT_FALSE(line.dirty());
+    line.markDirty();
+    EXPECT_TRUE(line.holds(0));
+    EXPECT_TRUE(line.dirty());
+}
+
+TEST(LineState, WidestTagThroughArray)
+{
+    // One set: the tag is the whole block address.
+    SetAssocArray array(1, 1);
+    array.insert(LineState::maxTag, 1, true);
+    ASSERT_TRUE(array.lookup(LineState::maxTag).has_value());
+    EXPECT_EQ(array.blockAddrOf(0, 0), LineState::maxTag);
+    auto evicted = array.insert(5, 2, false);
+    ASSERT_TRUE(evicted.has_value());
+    EXPECT_EQ(evicted->blockAddr, LineState::maxTag);
+    EXPECT_TRUE(evicted->dirty);
+}
+
+TEST(LineState, TagWiderThan62BitsPanics)
+{
+    SetAssocArray array(1, 2);
+    EXPECT_THROW(array.insert(Addr(1) << 62, 1, false), PanicError);
+    EXPECT_THROW(array.insert(~Addr(0), 1, true), PanicError);
+    LineState line;
+    EXPECT_THROW(line.fill(LineState::maxTag + 1, false), PanicError);
+}
+
+TEST(LineState, WarmStateRejectsTooWideTag)
+{
+    SetAssocArray array(1, 1);
+    array.insert(LineState::maxTag, 7, true);
+    std::ostringstream os;
+    warm::writeArray(os, array);
+    std::string bytes = os.str();
+
+    SetAssocArray restored(1, 1);
+    std::istringstream ok(bytes);
+    ASSERT_TRUE(warm::readArray(ok, restored));
+    EXPECT_TRUE(restored.lookup(LineState::maxTag).has_value());
+    EXPECT_TRUE(restored.at(0, 0).dirty());
+    EXPECT_EQ(restored.at(0, 0).lastUse, 7u);
+
+    // Set the tag's bit 62 (byte 7 of the tag, after the 4+4+8-byte
+    // header and the 4+4-byte set/way): rejected, not a panic.
+    bytes[16 + 8 + 7] = static_cast<char>(bytes[16 + 8 + 7] | 0x40);
+    std::istringstream bad(bytes);
+    EXPECT_FALSE(warm::readArray(bad, restored));
 }
 
 /** Property: capacity is never exceeded and LRU victims are oldest. */
