@@ -15,9 +15,8 @@ OoOCore::OoOCore(EventQueue &eq, stats::StatGroup *parent,
                  const CoreConfig &config, int core_id)
     : stats::StatGroup("core", parent), eventq(eq), icache(icache_),
       dcache(dcache_), cfg(config), id(core_id),
-      completeQ(static_cast<std::size_t>(config.robEntries), 0),
-      retireQ(static_cast<std::size_t>(config.robEntries), 0),
-      pending(static_cast<std::size_t>(config.robEntries), false),
+      robSize(static_cast<std::uint32_t>(config.robEntries)),
+      completeQ(robSize, 0), retireQ(robSize, 0), pending(robSize, 0),
       cycles(this, "cycles", "execution cycles"),
       instructions(this, "instructions", "retired instructions"),
       loads(this, "loads", "data loads issued"),
@@ -31,43 +30,12 @@ OoOCore::OoOCore(EventQueue &eq, stats::StatGroup *parent,
       })
 {}
 
-OoOCore::QTick
-OoOCore::nextFetchSlot()
-{
-    QTick slot = fetchQ + static_cast<QTick>(cfg.fetchQuanta);
-    std::uint64_t rob = static_cast<std::uint64_t>(cfg.robEntries);
-    if (nextIndex >= rob) {
-        std::uint64_t oldest = nextIndex - rob;
-        ensureRetired(oldest);
-        slot = std::max(slot, retireQ[oldest % rob]);
-    }
-    slot = std::max(slot, ifetchReadyQ);
-    return slot;
-}
-
+template <typename Ready>
 void
-OoOCore::ensureRetired(std::uint64_t idx)
+OoOCore::waitUntil(Ready ready, std::uint64_t idx)
 {
-    std::uint64_t rob = static_cast<std::uint64_t>(cfg.robEntries);
-    while (retireUpto <= idx) {
-        std::uint64_t j = retireUpto;
-        std::size_t slot = j % rob;
-        if (pending[slot])
-            waitForCompletion(j);
-        QTick complete = completeQ[slot];
-        lastRetireQ = std::max(lastRetireQ + 1, complete);
-        retireQ[slot] = lastRetireQ;
-        ++retireUpto;
-        ++retiredCount;
-    }
-}
-
-void
-OoOCore::waitForCompletion(std::uint64_t idx)
-{
-    std::uint64_t rob = static_cast<std::uint64_t>(cfg.robEntries);
-    std::size_t slot = idx % rob;
-    while (pending[slot]) {
+    prof::Scope prof_scope("cpu:wait");
+    while (!ready()) {
         Tick next = eventq.nextTick();
         if (watchdog) {
             // Quiescent queue with requests outstanding, or an
@@ -90,30 +58,24 @@ OoOCore::waitForCompletion(std::uint64_t idx)
 }
 
 void
-OoOCore::stepNonMem()
+OoOCore::waitForLoad(std::uint32_t slot, std::uint64_t idx)
 {
-    std::uint64_t i = nextIndex++;
-    std::size_t slot = i % static_cast<std::uint64_t>(cfg.robEntries);
-    fetchQ = nextFetchSlot();
-    pending[slot] = false;
-    completeQ[slot] = fetchQ + 4 * cfg.opLatency;
+    waitUntil([this, slot] { return !pending[slot]; }, idx);
 }
 
 void
 OoOCore::stepMemOp(const TraceRecord &record)
 {
-    std::uint64_t i = nextIndex++;
-    std::uint64_t rob = static_cast<std::uint64_t>(cfg.robEntries);
-    std::size_t slot = i % rob;
-    fetchQ = nextFetchSlot();
+    std::uint64_t i = nextIndex;
+    std::uint32_t slot = fetchNext();
 
     // Address dependence on the previous load (pointer chasing):
     // the operation cannot issue until that load's data returns.
     if (record.dependsOnPrev && prevLoadIdx != ~std::uint64_t(0) &&
-        prevLoadIdx + rob > i) {
-        std::size_t prev_slot = prevLoadIdx % rob;
+        prevLoadIdx + robSize > i) {
+        std::uint32_t prev_slot = prevLoadSlot;
         if (pending[prev_slot])
-            waitForCompletion(prevLoadIdx);
+            waitForLoad(prev_slot, prevLoadIdx);
         fetchQ = std::max(fetchQ, completeQ[prev_slot]);
     }
 
@@ -124,27 +86,35 @@ OoOCore::stepMemOp(const TraceRecord &record)
         ++stores;
         // Stores retire through the store buffer; the write itself
         // drains to the cache in the background.
-        pending[slot] = false;
+        pending[slot] = 0;
         completeQ[slot] = fetchQ + 4 * cfg.opLatency;
-        dcache.access(mem::MemRequest{record.blockAddr,
-                                      mem::AccessType::Store, cycle,
-                                      id},
-                      [](Tick) {});
+        mem::MemRequest req{record.blockAddr, mem::AccessType::Store,
+                            cycle, id};
+        Tick done;
+        if (!dcache.tryHit(req, done))
+            dcache.accessMiss(req, [](Tick) {});
         return;
     }
 
     ++loads;
     TLSIM_DPRINTF(CPU, "t={} load #{} block {}", cycle, i,
                   record.blockAddr);
-    pending[slot] = true;
-    completeQ[slot] = 0;
     prevLoadIdx = i;
-    dcache.access(mem::MemRequest{record.blockAddr,
-                                  mem::AccessType::Load, cycle, id},
-                  [this, slot](Tick done) {
-                      pending[slot] = false;
-                      completeQ[slot] = done * 4;
-                  });
+    prevLoadSlot = slot;
+    mem::MemRequest req{record.blockAddr, mem::AccessType::Load, cycle,
+                        id};
+    Tick done;
+    if (dcache.tryHit(req, done)) {
+        pending[slot] = 0;
+        completeQ[slot] = done * 4;
+        return;
+    }
+    pending[slot] = 1;
+    completeQ[slot] = 0;
+    dcache.accessMiss(req, [this, slot](Tick t) {
+        pending[slot] = 0;
+        completeQ[slot] = t * 4;
+    });
 }
 
 void
@@ -157,28 +127,16 @@ OoOCore::stepIFetch(const TraceRecord &record)
     Tick cycle = std::max(fetchQ / 4, eventq.now());
     eventq.advanceTo(cycle);
 
-    bool resolved = false;
-    Tick ready = cycle;
-    icache.access(mem::MemRequest{record.blockAddr,
-                                  mem::AccessType::InstFetch, cycle,
-                                  id},
-                  [&resolved, &ready](Tick done) {
-                      resolved = true;
-                      ready = done;
-                  });
-    while (!resolved) {
-        Tick next = eventq.nextTick();
-        if (watchdog) {
-            if (next == MaxTick) {
-                if (watchdog->onQuiescent(eventq.now()))
-                    continue;
-            } else {
-                watchdog->checkAge(eventq.now());
-            }
-        }
-        TLSIM_ASSERT(next != MaxTick,
-                     "deadlock: ifetch miss never completed");
-        eventq.advanceTo(next);
+    mem::MemRequest req{record.blockAddr, mem::AccessType::InstFetch,
+                        cycle, id};
+    Tick ready;
+    if (!icache.tryHit(req, ready)) {
+        bool resolved = false;
+        icache.accessMiss(req, [&resolved, &ready](Tick done) {
+            resolved = true;
+            ready = done;
+        });
+        waitUntil([&resolved] { return resolved; }, nextIndex);
     }
     // Hits are pipelined and do not stall the frontend.
     if (ready > cycle + 3) {
@@ -198,28 +156,8 @@ OoOCore::stepIFetch(const TraceRecord &record)
 }
 
 std::uint64_t
-OoOCore::run(TraceSource &source, std::uint64_t num_instructions)
+OoOCore::finishRun(std::uint64_t start_cycle, std::uint64_t executed)
 {
-    std::uint64_t start_cycle = lastRetireQ / 4;
-    std::uint64_t executed = 0;
-
-    while (executed < num_instructions) {
-        TraceRecord record = source.next();
-        std::uint64_t gap = std::min<std::uint64_t>(
-            record.gap, num_instructions - executed);
-        for (std::uint64_t k = 0; k < gap; ++k)
-            stepNonMem();
-        executed += gap;
-        if (executed >= num_instructions)
-            break;
-        if (record.isIFetch) {
-            stepIFetch(record);
-        } else {
-            stepMemOp(record);
-            ++executed;
-        }
-    }
-
     // Drain: retire everything fetched. Fetch resumes no earlier than
     // the drain point (retires are monotone, so lastRetireQ bounds the
     // event queue's current time).

@@ -1,5 +1,7 @@
 #include "mem/l1cache.hh"
 
+#include <algorithm>
+
 #include "mem/warmstate.hh"
 #include "sim/trace/debug.hh"
 #include "sim/trace/tracesink.hh"
@@ -39,6 +41,7 @@ L1Cache::L1Cache(const std::string &name, EventQueue &eq,
       mshrStallCycles(this, "mshr_stall_cycles",
                       "cycles requests waited for a free MSHR")
 {
+    mshrs.resize(static_cast<std::size_t>(std::max(num_mshrs, 0)));
     for (int i = 0; i < num_mshrs; ++i) {
         missEvents.emplace_back(*this);
         missEventFree.push_back(&missEvents.back());
@@ -46,36 +49,25 @@ L1Cache::L1Cache(const std::string &name, EventQueue &eq,
 }
 
 void
-L1Cache::access(const MemRequest &req, RespCallback cb)
+L1Cache::accessMiss(const MemRequest &req, RespCallback cb)
 {
+    prof::Scope prof_scope("l1:miss");
     const Addr block_addr = req.blockAddr;
     const AccessType type = req.type;
     const Tick now = req.issued;
 
-    ++accesses;
-    ++useCounter;
-
-    auto way = array.lookup(block_addr);
-    if (way) {
-        ++hits;
-        array.touch(block_addr, *way, useCounter, isWrite(type));
-        cb(now + hitLatency);
-        return;
-    }
-
-    // Miss: coalesce onto an existing MSHR if one tracks this block.
-    auto it = mshrs.find(block_addr);
-    if (it != mshrs.end()) {
+    // Coalesce onto an existing MSHR if one tracks this block.
+    if (Mshr *mshr = findMshr(block_addr)) {
         TLSIM_DPRINTF(L1, "t={} {} coalesce block {}", now,
                       groupName(), block_addr);
         ++coalescedMisses;
-        it->second.storeMiss |= isWrite(type);
-        it->second.targets.push_back(std::move(cb));
+        mshr->storeMiss |= isWrite(type);
+        mshr->targets.push_back(std::move(cb));
         return;
     }
 
     ++misses;
-    if (static_cast<int>(mshrs.size()) >= numMshrs) {
+    if (mshrsInUse >= numMshrs) {
         TLSIM_DPRINTF(L1, "t={} {} MSHRs full, queueing block {}", now,
                       groupName(), block_addr);
         waitQueue.push_back(
@@ -85,10 +77,15 @@ L1Cache::access(const MemRequest &req, RespCallback cb)
 
     TLSIM_DPRINTF(L1, "t={} {} miss block {}", now, groupName(),
                   block_addr);
-    Mshr &mshr = mshrs[block_addr];
-    mshr.storeMiss = isWrite(type);
-    mshr.started = now;
-    mshr.targets.push_back(std::move(cb));
+    Mshr *mshr = &mshrs.front();
+    while (mshr->valid)
+        ++mshr;
+    mshr->blockAddr = block_addr;
+    mshr->valid = true;
+    ++mshrsInUse;
+    mshr->storeMiss = isWrite(type);
+    mshr->started = now;
+    mshr->targets.push_back(std::move(cb));
     if (watchdog)
         watchdog->onIssue(watchdogClient, block_addr, now);
     startMiss(block_addr, type, now);
@@ -155,23 +152,29 @@ L1Cache::MissEvent::process()
 void
 L1Cache::handleFill(Addr block_addr, Tick now)
 {
-    auto it = mshrs.find(block_addr);
-    TLSIM_ASSERT(it != mshrs.end(), "fill without MSHR");
-    Mshr mshr = std::move(it->second);
-    mshrs.erase(it);
+    Mshr *mshr = findMshr(block_addr);
+    TLSIM_ASSERT(mshr, "fill without MSHR");
+    // Free the entry before firing anything: the targets move out
+    // and the entry takes the (empty) scratch vector in exchange.
+    std::vector<RespCallback> targets = std::move(fillScratch);
+    targets.swap(mshr->targets);
+    const bool store_miss = mshr->storeMiss;
+    const Tick started = mshr->started;
+    mshr->valid = false;
+    --mshrsInUse;
     if (watchdog)
         watchdog->onComplete(watchdogClient, block_addr);
 
     TLSIM_DPRINTF(L1, "t={} {} fill block {} ({} targets)", now,
-                  groupName(), block_addr, mshr.targets.size());
+                  groupName(), block_addr, targets.size());
     if (auto *sink = trace::TraceSink::active()) {
         sink->span(trace::cat::l1,
                    csprintf("{} miss {}", groupName(), block_addr),
-                   mshr.started, now, trace::tid::l1);
+                   started, now, trace::tid::l1);
     }
 
     ++useCounter;
-    auto evicted = array.insert(block_addr, useCounter, mshr.storeMiss);
+    auto evicted = array.insert(block_addr, useCounter, store_miss);
     if (evicted && evicted->dirty) {
         ++writebacks;
         l2.access(MemRequest{evicted->blockAddr, AccessType::Store,
@@ -179,13 +182,16 @@ L1Cache::handleFill(Addr block_addr, Tick now)
                   [](Tick) {});
     }
 
-    for (auto &target : mshr.targets)
+    for (auto &target : targets)
         target(now);
+    // Cleared before it goes back: the next entry it is swapped into
+    // must start with no targets.
+    targets.clear();
+    fillScratch = std::move(targets);
 
     // Admit a waiting access now that an MSHR is free. Re-run the
     // full access path: it may now hit (same block) or re-miss.
-    if (!waitQueue.empty() &&
-        static_cast<int>(mshrs.size()) < numMshrs) {
+    if (!waitQueue.empty() && mshrsInUse < numMshrs) {
         WaitingAccess waiting = std::move(waitQueue.front());
         waitQueue.pop_front();
         mshrStallCycles += static_cast<double>(now - waiting.queuedAt);

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/l2cache.hh"
@@ -55,13 +54,51 @@ class L1Cache : public stats::StatGroup
             int requester = 0, RequestIdSource *ids = nullptr);
 
     /**
-     * Access the cache at block granularity.
+     * Access the cache at block granularity: tryHit, then accessMiss
+     * if that missed.
      * @param req The request (req.issued is the issue tick; req.id is
      *            ignored — the L1 mints ids for L2-bound misses).
      * @param cb Fires when the data is available (loads) or the
      *           write is accepted (stores).
      */
-    void access(const MemRequest &req, RespCallback cb);
+    void
+    access(const MemRequest &req, RespCallback cb)
+    {
+        Tick done;
+        if (tryHit(req, done)) {
+            cb(done);
+            return;
+        }
+        accessMiss(req, std::move(cb));
+    }
+
+    /**
+     * The hit half of access(), with no callback to build: counts the
+     * access and, on a hit, updates the LRU state and sets @p done to
+     * the tick the data is available.
+     * @return false on a miss, which the caller must then hand to
+     *         accessMiss() with the same request, before anything
+     *         else touches this cache.
+     */
+    bool
+    tryHit(const MemRequest &req, Tick &done)
+    {
+        ++accesses;
+        ++useCounter;
+        auto way = array.lookup(req.blockAddr);
+        if (!way)
+            return false;
+        ++hits;
+        array.touch(req.blockAddr, *way, useCounter, isWrite(req.type));
+        done = req.issued + hitLatency;
+        return true;
+    }
+
+    /**
+     * The miss half of access(): coalesce onto the block's MSHR,
+     * allocate one, or queue for a free one.
+     */
+    void accessMiss(const MemRequest &req, RespCallback cb);
 
     /** Compatibility overload wrapping the loose argument list. */
     void
@@ -108,8 +145,7 @@ class L1Cache : public stats::StatGroup
     }
 
     /** Number of misses currently outstanding. */
-    int outstandingMisses() const { return static_cast<int>(
-        mshrs.size()); }
+    int outstandingMisses() const { return mshrsInUse; }
 
     /**
      * Serialize the functional warm state (tag array + LRU counter)
@@ -154,8 +190,14 @@ class L1Cache : public stats::StatGroup
     stats::Scalar mshrStallCycles;
 
   private:
+    /**
+     * One entry of the MSHR file. Entries are reused in place: the
+     * targets vector keeps its capacity across misses.
+     */
     struct Mshr
     {
+        Addr blockAddr = 0;
+        bool valid = false;
         bool storeMiss = false;
         Tick started = 0; // allocation tick, for trace spans
         std::vector<RespCallback> targets;
@@ -168,6 +210,17 @@ class L1Cache : public stats::StatGroup
         Tick queuedAt;
         RespCallback cb;
     };
+
+    /** The valid MSHR tracking @p block_addr, or null. */
+    Mshr *
+    findMshr(Addr block_addr)
+    {
+        for (Mshr &m : mshrs) {
+            if (m.valid && m.blockAddr == block_addr)
+                return &m;
+        }
+        return nullptr;
+    }
 
     void startMiss(Addr block_addr, AccessType type, Tick now);
     void handleFill(Addr block_addr, Tick now);
@@ -199,7 +252,14 @@ class L1Cache : public stats::StatGroup
     std::vector<MissEvent *> missEventFree;
 
     std::uint64_t useCounter = 0;
-    std::unordered_map<Addr, Mshr> mshrs;
+    /** The MSHR file: numMshrs entries, searched linearly. */
+    std::vector<Mshr> mshrs;
+    int mshrsInUse = 0;
+    /**
+     * Empty vector (with capacity) swapped into a filling entry, so
+     * the fill can fire its targets after the entry is free again.
+     */
+    std::vector<RespCallback> fillScratch;
     std::deque<WaitingAccess> waitQueue;
     fault::Watchdog *watchdog = nullptr;
     int watchdogClient = -1;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "phys/geometry.hh"
 #include "sim/logging.hh"
@@ -36,62 +35,6 @@ Mesh::Mesh(EventQueue &eq, const phys::Technology &tech,
     flitHopEnergyJ = config.flitBits * tech.activityFactor *
                          wire.energyPerTransition(config.hopLength) +
                      sw.energyPerFlit();
-}
-
-int
-Mesh::linkIndex(Coord from, Coord to)
-{
-    int vertical = config.cols * (config.rows - 1);
-    if (from.col == to.col) {
-        int low = std::min(from.row, to.row);
-        TLSIM_ASSERT(std::abs(from.row - to.row) == 1,
-                     "non-adjacent vertical hop");
-        int base = 2 + from.col * (config.rows - 1) + low;
-        bool up = to.row > from.row;
-        return up ? base : base + vertical;
-    }
-    TLSIM_ASSERT(from.row == to.row && from.row == 0 &&
-                     std::abs(from.col - to.col) == 1,
-                 "invalid horizontal hop");
-    int low = std::min(from.col, to.col);
-    int base = 2 + 2 * vertical + low;
-    bool east = to.col > from.col;
-    return east ? base : base + horizontalCount();
-}
-
-std::vector<int>
-Mesh::buildRoute(Coord from, Coord to)
-{
-    std::vector<int> route;
-    Coord cur = from;
-    // Horizontal links exist only along row 0: inbound messages ride
-    // the column down first, outbound ride row 0 first.
-    auto move_vertical = [&](int target_row) {
-        while (cur.row != target_row) {
-            Coord next{cur.row + (target_row > cur.row ? 1 : -1),
-                       cur.col};
-            route.push_back(linkIndex(cur, next));
-            cur = next;
-        }
-    };
-    auto move_horizontal = [&]() {
-        while (cur.col != to.col) {
-            Coord next{cur.row, cur.col + (to.col > cur.col ? 1 : -1)};
-            route.push_back(linkIndex(cur, next));
-            cur = next;
-        }
-    };
-    if (from.col == to.col) {
-        move_vertical(to.row);
-    } else if (from.row == 0) {
-        move_horizontal();
-        move_vertical(to.row);
-    } else {
-        move_vertical(0);
-        move_horizontal();
-        move_vertical(to.row);
-    }
-    return route;
 }
 
 double
@@ -128,16 +71,30 @@ Mesh::attachTelemetry(metrics::Heatmap *busy_hm,
 }
 
 Tick
-Mesh::routeMessage(const std::vector<int> &path, int flits, Tick now)
+Mesh::routeMessage(Coord from, Coord to, int flits, Tick now)
 {
     prof::Scope prof_scope("noc:route");
     Tick head = now;
-    for (int li : path)
+    int hops = 0;
+    forEachHop(from, to, [&](int li) {
         head = traverseLink(li, flits, head);
-    energy += static_cast<double>(flits) *
-              static_cast<double>(path.size()) * flitHopEnergyJ;
+        ++hops;
+    });
+    energy += static_cast<double>(flits) * static_cast<double>(hops) *
+              flitHopEnergyJ;
     // Tail flit trails the head by the serialization time.
     return head + static_cast<Tick>(flits - 1);
+}
+
+void
+Mesh::deliverAt(Tick tail, DeliverCallback cb)
+{
+    if (useTypedHotPathEvents) {
+        eventq.scheduleCallback(tail, std::move(cb));
+    } else {
+        eventq.scheduleFunc(tail,
+                            [cb = std::move(cb), tail]() { cb(tail); });
+    }
 }
 
 namespace
@@ -161,8 +118,7 @@ Mesh::sendToBank(Coord dst, int flits, Tick now, DeliverCallback cb)
     // injection costs energy but does not serialize (contention is
     // modelled in the row-0 and column links).
     int inject_col = injectColumnFor(dst.col, controllerCol());
-    auto route = buildRoute(Coord{0, inject_col}, dst);
-    Tick tail = routeMessage(route, flits, now);
+    Tick tail = routeMessage(Coord{0, inject_col}, dst, flits, now);
     energy += static_cast<double>(flits) * flitHopEnergyJ * 0.5;
     TLSIM_DPRINTF(NoC, "t={} mesh send {} flits to ({},{}) tail {}",
                   now, flits, dst.row, dst.col, tail);
@@ -177,12 +133,7 @@ Mesh::sendToBank(Coord dst, int flits, Tick now, DeliverCallback cb)
         if (bankRouter(dst, tail, cb))
             return;
     }
-    if (useTypedHotPathEvents) {
-        eventq.scheduleCallback(tail, std::move(cb));
-    } else {
-        eventq.scheduleFunc(tail,
-                            [cb = std::move(cb), tail]() { cb(tail); });
-    }
+    deliverAt(tail, std::move(cb));
 }
 
 void
@@ -190,8 +141,7 @@ Mesh::sendToController(Coord src, int flits, Tick now,
                        DeliverCallback cb)
 {
     int eject_col = injectColumnFor(src.col, controllerCol());
-    auto route = buildRoute(src, Coord{0, eject_col});
-    Tick tail = routeMessage(route, flits, now);
+    Tick tail = routeMessage(src, Coord{0, eject_col}, flits, now);
     energy += static_cast<double>(flits) * flitHopEnergyJ * 0.5;
     TLSIM_DPRINTF(NoC, "t={} mesh recv {} flits from ({},{}) tail {}",
                   now, flits, src.row, src.col, tail);
@@ -200,18 +150,12 @@ Mesh::sendToController(Coord src, int flits, Tick now,
                    csprintf("from ({},{})", src.row, src.col), now,
                    tail, trace::tid::nocUpBase);
     }
-    if (useTypedHotPathEvents) {
-        eventq.scheduleCallback(tail, std::move(cb));
-    } else {
-        eventq.scheduleFunc(tail,
-                            [cb = std::move(cb), tail]() { cb(tail); });
-    }
+    deliverAt(tail, std::move(cb));
 }
 
 void
 Mesh::multicastToColumn(int col, const std::vector<int> &rows,
-                        int flits, Tick now,
-                        std::function<void(int, Tick)> cb)
+                        int flits, Tick now, MulticastCallback cb)
 {
     TLSIM_ASSERT(!rows.empty(), "multicast needs at least one row");
     int far_row = *std::max_element(rows.begin(), rows.end());
@@ -220,26 +164,21 @@ Mesh::multicastToColumn(int col, const std::vector<int> &rows,
     Tick head = now;
     energy += static_cast<double>(flits) * flitHopEnergyJ * 0.5;
 
-    // Horizontal portion along row 0.
-    Coord cur{0, inject_col};
+    // Horizontal portion along row 0, then up the column recording
+    // the head's arrival at every row.
     int hops = 0;
-    while (cur.col != col) {
-        Coord next{0, cur.col + (col > cur.col ? 1 : -1)};
-        head = traverseLink(linkIndex(cur, next), flits, head);
-        cur = next;
+    forEachHop(Coord{0, inject_col}, Coord{0, col}, [&](int li) {
+        head = traverseLink(li, flits, head);
         ++hops;
-    }
-
-    // Vertical portion: record the head's arrival at every row.
-    std::vector<Tick> arrival(static_cast<std::size_t>(far_row) + 1);
-    arrival[0] = head;
-    while (cur.row != far_row) {
-        Coord next{cur.row + 1, cur.col};
-        head = traverseLink(linkIndex(cur, next), flits, head);
-        cur = next;
+    });
+    arrivalScratch.resize(static_cast<std::size_t>(far_row) + 1);
+    arrivalScratch[0] = head;
+    std::size_t row_reached = 0;
+    forEachHop(Coord{0, col}, Coord{far_row, col}, [&](int li) {
+        head = traverseLink(li, flits, head);
         ++hops;
-        arrival[static_cast<std::size_t>(cur.row)] = head;
-    }
+        arrivalScratch[++row_reached] = head;
+    });
     energy += static_cast<double>(flits) * hops * flitHopEnergyJ;
 
     TLSIM_DPRINTF(NoC, "t={} mesh multicast {} flits col {} far row "
@@ -250,14 +189,52 @@ Mesh::multicastToColumn(int col, const std::vector<int> &rows,
                    trace::tid::nocBase);
     }
 
-    // Stays on scheduleFunc: the (row, tick) callback shape doesn't
-    // fit scheduleCallback's void(Tick), and multicasts are rare
-    // enough (one per DNUCA broadcast search) not to matter.
+    // Typed: one pooled event per row, all sharing one copy of the
+    // callback. Otherwise each row's lambda carries its own copy.
+    MulticastGroup *group = nullptr;
+    if (useTypedHotPathEvents) {
+        if (groupFree.empty()) {
+            group = &groups.emplace_back();
+        } else {
+            group = groupFree.back();
+            groupFree.pop_back();
+        }
+        group->cb = std::move(cb);
+        group->pendingRows = static_cast<int>(rows.size());
+    }
     for (int row : rows) {
-        Tick tail = arrival[static_cast<std::size_t>(row)] +
+        Tick tail = arrivalScratch[static_cast<std::size_t>(row)] +
                     static_cast<Tick>(flits - 1);
-        eventq.scheduleFunc(tail,
-                            [cb, row, tail]() { cb(row, tail); });
+        if (!group) {
+            eventq.scheduleFunc(tail,
+                                [cb, row, tail]() { cb(row, tail); });
+            continue;
+        }
+        RowDeliveryEvent *ev;
+        if (rowEventFree.empty()) {
+            ev = &rowEvents.emplace_back(*this);
+        } else {
+            ev = rowEventFree.back();
+            rowEventFree.pop_back();
+        }
+        ev->group = group;
+        ev->row = row;
+        eventq.schedule(ev, tail);
+    }
+}
+
+void
+Mesh::RowDeliveryEvent::process()
+{
+    // Back to the pool first: the callback may multicast again.
+    MulticastGroup *g = group;
+    int r = row;
+    Tick tail = when();
+    owner.rowEventFree.push_back(this);
+    g->cb(r, tail);
+    if (--g->pendingRows == 0) {
+        g->cb = nullptr;
+        owner.groupFree.push_back(g);
     }
 }
 
@@ -265,14 +242,7 @@ void
 Mesh::sendBankToBank(Coord src, Coord dst, int flits, Tick now,
                      DeliverCallback cb)
 {
-    auto route = buildRoute(src, dst);
-    Tick tail = routeMessage(route, flits, now);
-    if (useTypedHotPathEvents) {
-        eventq.scheduleCallback(tail, std::move(cb));
-    } else {
-        eventq.scheduleFunc(tail,
-                            [cb = std::move(cb), tail]() { cb(tail); });
-    }
+    deliverAt(routeMessage(src, dst, flits, now), std::move(cb));
 }
 
 std::uint64_t

@@ -15,6 +15,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -114,6 +115,9 @@ class Mesh
     void sendBankToBank(Coord src, Coord dst, int flits, Tick now,
                         DeliverCallback cb);
 
+    /** Per-row multicast delivery: (row, tail-arrival tick). */
+    using MulticastCallback = std::function<void(int, Tick)>;
+
     /**
      * Multicast a message from the controller up one column: the
      * message rides to the farthest requested row, dropping a copy
@@ -121,8 +125,27 @@ class Mesh
      * requested row, at that row's tail-arrival tick.
      */
     void multicastToColumn(int col, const std::vector<int> &rows,
-                           int flits, Tick now,
-                           std::function<void(int, Tick)> cb);
+                           int flits, Tick now, MulticastCallback cb);
+
+    /**
+     * Walk the XY route between two switches, calling @p f with each
+     * link's index (see the layout comment in the constructor) in
+     * traversal order. Horizontal links exist only along row 0: a
+     * route leaving another row first rides its column down, then
+     * row 0 across, then the target column up.
+     */
+    template <typename F>
+    void
+    forEachHop(Coord from, Coord to, F &&f) const
+    {
+        Coord cur = from;
+        if (from.col != to.col) {
+            verticalHops(cur.col, cur.row, 0, f);
+            horizontalHops(cur.col, to.col, f);
+            cur = Coord{0, to.col};
+        }
+        verticalHops(cur.col, cur.row, to.row, f);
+    }
 
     /**
      * One-way hop count between the controller port and a bank
@@ -174,15 +197,42 @@ class Mesh
                          metrics::Heatmap *wait_hm);
 
   private:
+    /** Vertical links, per direction. */
+    int verticalCount() const { return config.cols * (config.rows - 1); }
+
+    /** forEachHop's run up or down column @p col. */
+    template <typename F>
+    void
+    verticalHops(int col, int from_row, int to_row, F &f) const
+    {
+        int base = 2 + col * (config.rows - 1);
+        for (int r = from_row; r < to_row; ++r)
+            f(base + r);
+        for (int r = from_row; r > to_row; --r)
+            f(base + r - 1 + verticalCount());
+    }
+
+    /** forEachHop's run east or west along row 0. */
+    template <typename F>
+    void
+    horizontalHops(int from_col, int to_col, F &f) const
+    {
+        int base = 2 + 2 * verticalCount();
+        for (int c = from_col; c < to_col; ++c)
+            f(base + c);
+        for (int c = from_col; c > to_col; --c)
+            f(base + c - 1 + horizontalCount());
+    }
+
     /**
-     * Route a message over a given number of hops, reserving each
+     * Route a message from @p from to @p to, reserving each
      * directional link in sequence.
      * @return Tick at which the tail flit arrives at the endpoint.
      */
-    Tick routeMessage(const std::vector<int> &path, int flits, Tick now);
+    Tick routeMessage(Coord from, Coord to, int flits, Tick now);
 
-    /** Link index for the hop between two adjacent nodes. */
-    int linkIndex(Coord from, Coord to);
+    /** Schedule @p cb at @p tail on the configured event flavour. */
+    void deliverAt(Tick tail, DeliverCallback cb);
 
     /**
      * Move a message head across one link, detouring around it when
@@ -190,9 +240,6 @@ class Mesh
      * @return Head-arrival tick at the far switch.
      */
     Tick traverseLink(int li, int flits, Tick head);
-
-    /** Build the XY route (list of link indices) between two nodes. */
-    std::vector<int> buildRoute(Coord from, Coord to);
 
     /** Controller attach point: between the two middle columns. */
     double controllerCol() const { return (config.cols - 1) / 2.0; }
@@ -212,6 +259,41 @@ class Mesh
     fault::Injector *injector = nullptr;
     std::uint64_t degradedHops = 0;
     BankDeliveryRouter bankRouter;
+
+    /** One multicast's callback, shared by its rows' events. */
+    struct MulticastGroup
+    {
+        MulticastCallback cb;
+        int pendingRows = 0;
+    };
+
+    /**
+     * Pooled typed event delivering one multicast row: every row of
+     * a multicast points at one MulticastGroup instead of carrying
+     * its own copy of the callback. Owned by the mesh, never by the
+     * queue.
+     */
+    class RowDeliveryEvent : public Event
+    {
+      public:
+        explicit RowDeliveryEvent(Mesh &owner_) : owner(owner_) {}
+
+        void process() override;
+        const char *name() const override { return "MeshRowEvent"; }
+
+        MulticastGroup *group = nullptr;
+        int row = 0;
+
+      private:
+        Mesh &owner;
+    };
+
+    std::deque<RowDeliveryEvent> rowEvents;
+    std::vector<RowDeliveryEvent *> rowEventFree;
+    std::deque<MulticastGroup> groups;
+    std::vector<MulticastGroup *> groupFree;
+    /** Head arrival per row of the multicast being routed. */
+    std::vector<Tick> arrivalScratch;
 };
 
 } // namespace noc

@@ -483,6 +483,14 @@ class EventQueue
     {
         if (coordinator) [[unlikely]]
             return coordinator->coordAdvanceTo(limit);
+        // Nothing due by limit: the heap top holds the least `when`
+        // of all entries, live or stale, so no event can fire. Stale
+        // entries stay for a later pop; they never affect order.
+        if (heap.empty() || heap.front().when > limit) {
+            if (limit > curTick)
+                curTick = limit;
+            return 0;
+        }
         return advanceDirect(limit);
     }
 

@@ -111,6 +111,33 @@ TEST(EventQueue, AdvanceToInclusive)
     EXPECT_EQ(log.size(), 1u);
 }
 
+TEST(EventQueue, AdvanceToWithNothingDueOnlyMovesTime)
+{
+    EventQueue eq;
+    EXPECT_EQ(eq.advanceTo(7), 0u); // empty heap
+    EXPECT_EQ(eq.now(), 7u);
+    EXPECT_EQ(eq.advanceTo(3), 0u); // never moves backwards
+    EXPECT_EQ(eq.now(), 7u);
+
+    std::vector<int> log;
+    LogEvent a(&log, 1), b(&log, 2), c(&log, 3);
+    eq.schedule(&a, 20);
+    eq.schedule(&b, 30);
+    eq.schedule(&c, 40);
+    // A squashed entry on top, due after the limit: nothing fires,
+    // the stale entry stays, and order afterwards is unchanged.
+    eq.deschedule(&a);
+    EXPECT_EQ(eq.advanceTo(19), 0u);
+    EXPECT_EQ(eq.now(), 19u);
+    EXPECT_EQ(eq.staleCount(), 1u);
+    // A squashed top due before the limit goes the full path.
+    EXPECT_EQ(eq.advanceTo(25), 0u);
+    EXPECT_EQ(eq.staleCount(), 0u);
+    EXPECT_EQ(eq.now(), 25u);
+    EXPECT_EQ(eq.advanceTo(40), 2u);
+    EXPECT_EQ(log, (std::vector<int>{2, 3}));
+}
+
 TEST(EventQueue, DescheduleSkipsEvent)
 {
     EventQueue eq;

@@ -5,8 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <functional>
+#include <optional>
+#include <tuple>
+#include <vector>
+
 #include "noc/mesh.hh"
 #include "phys/technology.hh"
+#include "sim/fault/injector.hh"
+#include "sim/rng.hh"
 
 using namespace tlsim;
 using namespace tlsim::noc;
@@ -214,4 +224,292 @@ TEST(Mesh, FlitHopEnergyPicojouleScale)
     double pj = mesh.flitHopEnergy() / 1e-12;
     EXPECT_GT(pj, 1.0);
     EXPECT_LT(pj, 50.0);
+}
+
+namespace
+{
+
+/**
+ * Link index for the hop between two adjacent switches, from the
+ * layout in Mesh's constructor: injection, ejection, vertical up
+ * links column by column, vertical down links, then row 0's east
+ * and west links.
+ */
+int
+referenceLinkIndex(const MeshConfig &config, Coord from, Coord to)
+{
+    int vertical = config.cols * (config.rows - 1);
+    if (from.col == to.col) {
+        EXPECT_EQ(std::abs(from.row - to.row), 1);
+        int base = 2 + from.col * (config.rows - 1) +
+                   std::min(from.row, to.row);
+        return to.row > from.row ? base : base + vertical;
+    }
+    EXPECT_TRUE(from.row == 0 && to.row == 0 &&
+                std::abs(from.col - to.col) == 1);
+    int base = 2 + 2 * vertical + std::min(from.col, to.col);
+    return to.col > from.col ? base : base + config.cols - 1;
+}
+
+/**
+ * The XY route as the mesh built it before forEachHop: a list of
+ * link indices, one adjacent step at a time.
+ */
+std::vector<int>
+referenceRoute(const Mesh &mesh, Coord from, Coord to)
+{
+    const MeshConfig &config = mesh.configuration();
+    std::vector<int> route;
+    Coord cur = from;
+    auto move_vertical = [&](int target_row) {
+        while (cur.row != target_row) {
+            Coord next{cur.row + (target_row > cur.row ? 1 : -1),
+                       cur.col};
+            route.push_back(referenceLinkIndex(config, cur, next));
+            cur = next;
+        }
+    };
+    auto move_horizontal = [&]() {
+        while (cur.col != to.col) {
+            Coord next{cur.row, cur.col + (to.col > cur.col ? 1 : -1)};
+            route.push_back(referenceLinkIndex(config, cur, next));
+            cur = next;
+        }
+    };
+    if (from.col == to.col) {
+        move_vertical(to.row);
+    } else if (from.row == 0) {
+        move_horizontal();
+        move_vertical(to.row);
+    } else {
+        move_vertical(0);
+        move_horizontal();
+        move_vertical(to.row);
+    }
+    return route;
+}
+
+std::vector<int>
+walkedRoute(const Mesh &mesh, Coord from, Coord to)
+{
+    std::vector<int> route;
+    mesh.forEachHop(from, to, [&](int li) { route.push_back(li); });
+    return route;
+}
+
+/** The controller's attach column for traffic to/from @p col. */
+int
+attachColumn(const MeshConfig &config, int col)
+{
+    double ctrl = (config.cols - 1) / 2.0;
+    return col <= ctrl ? static_cast<int>(std::floor(ctrl))
+                       : static_cast<int>(std::ceil(ctrl));
+}
+
+/**
+ * Link timing as the mesh applied it before forEachHop: per-link
+ * busy-until reservations, with a dead link detoured at twice the
+ * hop latency.
+ */
+struct ReferenceMesh
+{
+    ReferenceMesh(const Mesh &mesh, const fault::Injector *inj)
+        : mesh(mesh), injector(inj),
+          busyUntil(static_cast<std::size_t>(mesh.linkCount()), 0)
+    {}
+
+    Tick
+    route(Coord from, Coord to, int flits, Tick now)
+    {
+        const Cycles hop = mesh.configuration().hopLatency;
+        Tick head = now;
+        std::vector<int> path = referenceRoute(mesh, from, to);
+        for (int li : path) {
+            if (injector && injector->linkDead(li, head)) {
+                ++degraded;
+                head += 2 * hop;
+                continue;
+            }
+            Tick &busy = busyUntil[static_cast<std::size_t>(li)];
+            Tick start = std::max(head, busy);
+            busy = start + static_cast<Tick>(flits);
+            busyCycles += static_cast<std::uint64_t>(flits);
+            head = start + hop;
+        }
+        energy += static_cast<double>(flits) *
+                  static_cast<double>(path.size()) *
+                  mesh.flitHopEnergy();
+        return head + static_cast<Tick>(flits - 1);
+    }
+
+    const Mesh &mesh;
+    const fault::Injector *injector;
+    std::vector<Tick> busyUntil;
+    std::uint64_t busyCycles = 0;
+    std::uint64_t degraded = 0;
+    double energy = 0.0;
+};
+
+/**
+ * Drive a mesh with a random mix of controller-to-bank,
+ * bank-to-controller and bank-to-bank messages and check every tail
+ * tick, the energy, busy cycles and detours against ReferenceMesh.
+ */
+void
+expectMatchesReference(const MeshConfig &config, const char *dead_links)
+{
+    EventQueue eq;
+    Mesh mesh(eq, tech45(), config);
+    std::optional<fault::Injector> injector;
+    if (dead_links) {
+        fault::FaultConfig fc;
+        fc.enabled = true;
+        fc.deadLinks = dead_links;
+        injector.emplace(fc, 0);
+        mesh.setInjector(&*injector);
+    }
+    ReferenceMesh ref(mesh, injector ? &*injector : nullptr);
+
+    Rng rng(17);
+    Tick now = 0;
+    constexpr int messages = 4000;
+    std::vector<Tick> expected(messages), got(messages);
+    for (int i = 0; i < messages; ++i) {
+        now += rng.below(4);
+        Coord a{static_cast<int>(rng.below(config.rows)),
+                static_cast<int>(rng.below(config.cols))};
+        Coord b{static_cast<int>(rng.below(config.rows)),
+                static_cast<int>(rng.below(config.cols))};
+        int flits = static_cast<int>(rng.range(1, 4));
+        auto record = [&got, i](Tick t) { got[i] = t; };
+        Coord attach{0, attachColumn(config, a.col)};
+        switch (i % 3) {
+          case 0:
+            expected[i] = ref.route(attach, a, flits, now);
+            ref.energy += static_cast<double>(flits) *
+                          mesh.flitHopEnergy() * 0.5;
+            mesh.sendToBank(a, flits, now, record);
+            break;
+          case 1:
+            expected[i] = ref.route(a, attach, flits, now);
+            ref.energy += static_cast<double>(flits) *
+                          mesh.flitHopEnergy() * 0.5;
+            mesh.sendToController(a, flits, now, record);
+            break;
+          default:
+            expected[i] = ref.route(a, b, flits, now);
+            mesh.sendBankToBank(a, b, flits, now, record);
+            break;
+        }
+    }
+    eq.run();
+    EXPECT_EQ(got, expected);
+    EXPECT_DOUBLE_EQ(mesh.energyConsumed(), ref.energy);
+    EXPECT_EQ(mesh.totalBusyCycles(), ref.busyCycles);
+    EXPECT_EQ(mesh.degradedHopCount(), ref.degraded);
+    if (dead_links) {
+        EXPECT_GT(ref.degraded, 0u);
+    }
+}
+
+} // namespace
+
+TEST(MeshRoute, ForEachHopMatchesReferenceRoute)
+{
+    // Every ordered pair of switches covers controller-to-bank
+    // (from a row-0 attach switch), bank-to-controller and
+    // bank-to-bank routes on both NUCA meshes.
+    for (const MeshConfig &config : {snucaMesh(), dnucaMesh()}) {
+        EventQueue eq;
+        Mesh mesh(eq, tech45(), config);
+        for (int r0 = 0; r0 < config.rows; ++r0) {
+            for (int c0 = 0; c0 < config.cols; ++c0) {
+                for (int r1 = 0; r1 < config.rows; ++r1) {
+                    for (int c1 = 0; c1 < config.cols; ++c1) {
+                        Coord from{r0, c0}, to{r1, c1};
+                        ASSERT_EQ(walkedRoute(mesh, from, to),
+                                  referenceRoute(mesh, from, to))
+                            << "(" << r0 << "," << c0 << ") -> ("
+                            << r1 << "," << c1 << ")";
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(MeshRoute, TailsEnergyAndBusyMatchReference)
+{
+    expectMatchesReference(snucaMesh(), nullptr);
+    expectMatchesReference(dnucaMesh(), nullptr);
+}
+
+TEST(MeshRoute, DeadLinkDetoursMatchReference)
+{
+    // Link 2 is the first vertical link of column 0; the others sit
+    // in the middle columns and on row 0, where most routes pass.
+    expectMatchesReference(snucaMesh(), "2@0,12@500,60@0");
+    expectMatchesReference(dnucaMesh(), "2@0,130@0,490@300,500@0");
+}
+
+namespace
+{
+
+using Delivery = std::tuple<int, int, Tick>; // multicast id, row, tick
+
+/**
+ * A burst of overlapping multicasts whose row callbacks send more
+ * traffic (and, for the first few, multicast again), so pooled row
+ * events are reused from inside their own callbacks.
+ */
+std::vector<Delivery>
+multicastBurst(bool typed, double &energy, std::uint64_t &busy)
+{
+    bool saved = useTypedHotPathEvents;
+    useTypedHotPathEvents = typed;
+    EventQueue eq;
+    Mesh mesh(eq, tech45(), dnucaMesh());
+    std::vector<Delivery> seen;
+    Rng rng(5);
+    int next_id = 0;
+    std::function<void(Tick)> launch = [&](Tick now) {
+        int id = next_id++;
+        int col = static_cast<int>(rng.below(16));
+        std::vector<int> rows;
+        for (int r = 0; r < 16; ++r) {
+            if (rng.below(4) == 0)
+                rows.push_back(r);
+        }
+        if (rows.empty())
+            rows.push_back(static_cast<int>(rng.below(16)));
+        mesh.multicastToColumn(
+            col, rows, 1, now, [&, id, col](int row, Tick t) {
+                seen.emplace_back(id, row, t);
+                mesh.sendToController(Coord{row, col}, 1, t + 3,
+                                      [](Tick) {});
+                if (id < 20 && row == 0)
+                    launch(t);
+            });
+    };
+    for (Tick t = 0; t < 400; t += 7)
+        launch(t);
+    eq.run();
+    energy = mesh.energyConsumed();
+    busy = mesh.totalBusyCycles();
+    useTypedHotPathEvents = saved;
+    return seen;
+}
+
+} // namespace
+
+TEST(MeshRoute, TypedMulticastMatchesLambdaPath)
+{
+    double e_typed = 0.0, e_lambda = 0.0;
+    std::uint64_t b_typed = 0, b_lambda = 0;
+    auto typed = multicastBurst(true, e_typed, b_typed);
+    auto lambda = multicastBurst(false, e_lambda, b_lambda);
+    EXPECT_GT(typed.size(), 100u);
+    EXPECT_EQ(typed, lambda);
+    EXPECT_EQ(e_typed, e_lambda);
+    EXPECT_EQ(b_typed, b_lambda);
 }
