@@ -17,17 +17,11 @@
  *   physcache_hot         memoized pulse lookups through PhysCache
  *   ddr_frfcfs            requests/s through the banked "ddr" memory
  *                         backend's FR-FCFS scheduling hot path
- *   pdes_window           cross-domain messages/s through the
- *                         partitioned executor's window barrier
- *   arena_churn           one-shot event churn through an
- *                         arena-backed queue (the worker domains'
- *                         allocation path; asserts the global
- *                         allocator was never touched)
  *   snuca_single_run      one fault-free SNUCA2 run at quickstart
- *                         budgets, honoring --domains — the kernel
- *                         the partitioned-execution speedup and the
- *                         serial determinism-overhead gate measure
+ *                         budgets; --compare fails when it slowed
+ *                         more than 3% against the baseline
  *   sweep_quickstart      the quickstart sweep, warm physics memo
+ *                         (same 3% wall-time gate)
  *   sweep_quickstart_memocold  same sweep with the memo cleared first
  *   telemetry_overhead    profiler-on / profiler-off wall ratio on the
  *                         eventq workload; --compare fails when the
@@ -70,8 +64,6 @@
 #include "phys/technology.hh"
 #include "repro/experiments.hh"
 #include "sim/eventq.hh"
-#include "sim/eventqstats.hh"
-#include "sim/pdes/pdes.hh"
 #include "sim/prof/prof.hh"
 #include "workload/profile.hh"
 
@@ -493,90 +485,12 @@ benchDdrFrfcfs(bool quick)
 }
 
 /**
- * Cross-domain message throughput through the partitioned executor:
- * two worker domains, each round delivering one message per worker
- * and receiving one record back, driven the way the cores drive the
- * master queue (advanceTo). Exercises the window barrier, the mailbox
- * staging, and the explicit-sequence key plumbing end to end.
+ * One fault-free SNUCA2 run at quickstart-sized budgets: the serial
+ * timed path end to end. --compare holds it to within 3% of the
+ * baseline's wall time.
  */
 Kernel
-benchPdesWindow(bool quick)
-{
-    const std::uint64_t rounds = quick ? 20'000 : 200'000;
-    const int workers = 2;
-    const Tick lookahead = 4;
-
-    auto start = std::chrono::steady_clock::now();
-    EventQueue eq;
-    std::uint64_t replies = 0;
-    std::uint64_t windows = 0;
-    {
-        tlsim::pdes::Executor exec(eq, workers, lookahead);
-        for (std::uint64_t i = 0; i < rounds; ++i) {
-            Tick t = eq.now() + lookahead;
-            for (int w = 0; w < workers; ++w) {
-                exec.postToWorker(w, t, [&exec, &replies, w](Tick) {
-                    exec.postToMaster(w,
-                                      [&replies](Tick) { ++replies; });
-                });
-            }
-            eq.advanceTo(t);
-        }
-        eq.run();
-        windows = exec.windows();
-    }
-    double secs = wallSeconds(start);
-
-    if (replies != rounds * static_cast<std::uint64_t>(workers))
-        throw std::runtime_error("pdes_window lost cross-domain records");
-    if (windows == 0)
-        throw std::runtime_error("pdes_window never ran a window");
-    return Kernel{"pdes_window", "msgs_per_sec",
-                  static_cast<double>(2 * rounds * workers) / secs,
-                  secs};
-}
-
-/**
- * One-shot callback churn through an arena-backed queue — the worker
- * domains' allocation path. PoolStats must report zero global-
- * allocator hits: the event pool's growth is absorbed entirely by
- * the arena.
- */
-Kernel
-benchArenaChurn(bool quick)
-{
-    const std::uint64_t rounds = quick ? 200'000 : 2'000'000;
-
-    auto start = std::chrono::steady_clock::now();
-    tlsim::pdes::Arena arena;
-    EventQueue eq;
-    eq.setAllocHook(tlsim::pdes::Arena::hook, &arena);
-    std::uint64_t fired = 0;
-    for (std::uint64_t i = 0; i < rounds; ++i) {
-        eq.scheduleCallback(eq.now() + 1, [&fired](Tick) { ++fired; });
-        eq.advanceTo(eq.now() + 1);
-    }
-    eq.run();
-    double secs = wallSeconds(start);
-
-    if (fired != rounds)
-        throw std::runtime_error("arena_churn lost callbacks");
-    tlsim::PoolStats pool(eq);
-    if (pool.heapAllocations() != 0)
-        throw std::runtime_error("arena_churn hit the global allocator");
-    return Kernel{"arena_churn", "events_per_sec",
-                  static_cast<double>(rounds) / secs, secs};
-}
-
-/**
- * One fault-free SNUCA2 run at quickstart-sized budgets, honoring
- * --domains. This is the kernel the partitioned-execution speedup is
- * measured on (compare the --domains=1 and --domains=N BENCH jsons);
- * at --domains=1 it doubles as the determinism-overhead probe the
- * --compare gate holds to the 3% budget.
- */
-Kernel
-benchSnucaSingleRun(bool quick, int domains)
+benchSnucaSingleRun(bool quick)
 {
     tlsim::harness::SystemConfig config =
         tlsim::repro::defaultRunConfig();
@@ -584,7 +498,6 @@ benchSnucaSingleRun(bool quick, int domains)
     config.functionalWarm = quick ? 50'000 : 200'000;
     config.warmup = quick ? 5'000 : 20'000;
     config.measure = quick ? 50'000 : 500'000;
-    config.domains = domains;
     const auto &profile = tlsim::workload::profileByName("bzip");
 
     auto start = std::chrono::steady_clock::now();
@@ -610,9 +523,8 @@ benchSnucaSingleRun(bool quick, int domains)
  * (full mode uses --warm 5000 --measure 20000 --funcwarm 200000).
  */
 std::vector<tlsim::harness::sweep::RunSpec>
-quickstartSpecs(bool quick, int jobs, int domains)
+quickstartSpecs(bool quick)
 {
-    (void)jobs;
     const auto *table6 = tlsim::repro::findExperiment("table6");
     if (!table6)
         throw std::runtime_error("table6 experiment not registered");
@@ -623,11 +535,6 @@ quickstartSpecs(bool quick, int jobs, int domains)
     base.fault.enabled = true;
     base.fault.bitErrorRate = 1e-6;
     base.fault.deriveFromMargin = true;
-    // Honored for completeness, but note the margin-weighted BER makes
-    // SNUCA2 decline to partition (the CRC-retry path has zero
-    // lookahead), so these runs stay serial at any --domains; the
-    // fault-free snuca_single_run kernel is where --domains bites.
-    base.domains = domains;
     return table6->specs(base);
 }
 
@@ -707,9 +614,9 @@ benchTelemetryOverhead(bool quick)
 }
 
 std::pair<Kernel, Kernel>
-benchSweepQuickstart(bool quick, int jobs, int domains)
+benchSweepQuickstart(bool quick, int jobs)
 {
-    auto specs = quickstartSpecs(quick, jobs, domains);
+    auto specs = quickstartSpecs(quick);
     tlsim::harness::sweep::SweepOptions options;
     options.jobs = jobs;
     options.verbose = false;
@@ -882,17 +789,14 @@ usage()
         << "usage: tlsim_bench [options]\n"
            "  --quick            CI-sized kernels (default: full)\n"
            "  --jobs N           sweep worker threads (default 1)\n"
-           "  --domains N        event domains for the sweep and\n"
-           "                     single-run kernels (default 1, the\n"
-           "                     serial loop)\n"
            "  --out FILE         output JSON (default "
            "BENCH_kernel.json)\n"
            "  --compare FILE     report speedups vs a baseline "
            "BENCH json; fails if the\n"
            "                     telemetry_overhead ratio exceeds "
-           "1.03, or if a wall_s\n"
-           "                     kernel at --domains=1 slowed more "
-           "than 3%\n"
+           "1.03, or if\n"
+           "                     snuca_single_run or sweep_quickstart "
+           "slowed more than 3%\n"
            "  --validate FILE    schema-check an existing BENCH json "
            "and exit\n"
            "  --prof-out FILE    profile the kernels themselves; "
@@ -908,7 +812,6 @@ main(int argc, char **argv)
 {
     bool quick = false;
     int jobs = 1;
-    int domains = 1;
     std::string out_path = "BENCH_kernel.json";
     std::string compare_path;
     std::string validate_path;
@@ -927,12 +830,6 @@ main(int argc, char **argv)
             quick = true;
         } else if (arg == "--jobs") {
             jobs = std::stoi(next());
-        } else if (arg == "--domains") {
-            domains = std::stoi(next());
-            if (domains < 1) {
-                std::cerr << "--domains must be >= 1\n";
-                return 2;
-            }
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--compare") {
@@ -981,16 +878,11 @@ main(int argc, char **argv)
             [&] { return benchPhyscacheHot(quick); });
         run("bench:ddr_frfcfs",
             [&] { return benchDdrFrfcfs(quick); });
-        run("bench:pdes_window",
-            [&] { return benchPdesWindow(quick); });
-        run("bench:arena_churn",
-            [&] { return benchArenaChurn(quick); });
         run("bench:snuca_single_run",
-            [&] { return benchSnucaSingleRun(quick, domains); });
+            [&] { return benchSnucaSingleRun(quick); });
         {
             tlsim::prof::Scope scope("bench:sweep_quickstart");
-            auto [hot, cold] =
-                benchSweepQuickstart(quick, jobs, domains);
+            auto [hot, cold] = benchSweepQuickstart(quick, jobs);
             kernels.push_back(hot);
             kernels.push_back(cold);
         }
@@ -1025,49 +917,41 @@ main(int argc, char **argv)
                         " exceeds the 1.03 budget");
                 }
             }
-            // Determinism-mode overhead gate: at --domains=1 the PDES
-            // plumbing (sequence stride, coordinator indirection,
-            // partition hooks) must be free. Fail when a gated wall_s
-            // kernel slowed more than 3% vs baseline, re-measuring
-            // first so one noise burst on a shared box doesn't fail
-            // the gate while a real regression fails every attempt.
-            if (domains == 1) {
-                auto gate = [&](const std::string &name,
-                                const std::function<Kernel()> &again) {
-                    auto it = speedups.find(name);
-                    if (it == speedups.end())
-                        return;
-                    const Kernel *k = nullptr;
-                    for (const Kernel &c : kernels) {
-                        if (c.name == name)
-                            k = &c;
-                    }
-                    // speedup = base/current for wall_s metrics.
-                    double base_value = it->second * k->value;
-                    double speedup = it->second;
-                    for (int retry = 0;
-                         retry < 2 && speedup < 0.97; ++retry) {
-                        speedup = base_value / again().value;
-                        std::cout << name << " (re-measure "
-                                  << retry + 1 << "): speedup "
-                                  << speedup << "x\n";
-                    }
-                    if (speedup < 0.97) {
-                        throw std::runtime_error(
-                            name +
-                            " slowed beyond the 3% determinism "
-                            "budget (speedup " +
-                            std::to_string(speedup) + "x)");
-                    }
-                };
-                gate("snuca_single_run", [&] {
-                    return benchSnucaSingleRun(quick, domains);
-                });
-                gate("sweep_quickstart", [&] {
-                    return benchSweepQuickstart(quick, jobs, domains)
-                        .first;
-                });
-            }
+            // Wall-time regression gate: fail when the serial single
+            // run or the quickstart sweep slowed more than 3% vs the
+            // baseline, re-measuring first so one noise burst on a
+            // shared box doesn't fail the gate while a real
+            // regression fails every attempt.
+            auto gate = [&](const std::string &name,
+                            const std::function<Kernel()> &again) {
+                auto it = speedups.find(name);
+                if (it == speedups.end())
+                    return;
+                const Kernel *k = nullptr;
+                for (const Kernel &c : kernels) {
+                    if (c.name == name)
+                        k = &c;
+                }
+                // speedup = base/current for wall_s metrics.
+                double base_value = it->second * k->value;
+                double speedup = it->second;
+                for (int retry = 0; retry < 2 && speedup < 0.97; ++retry) {
+                    speedup = base_value / again().value;
+                    std::cout << name << " (re-measure " << retry + 1
+                              << "): speedup " << speedup << "x\n";
+                }
+                if (speedup < 0.97) {
+                    throw std::runtime_error(
+                        name + " slowed more than 3% against the "
+                               "baseline (speedup " +
+                        std::to_string(speedup) + "x)");
+                }
+            };
+            gate("snuca_single_run",
+                 [&] { return benchSnucaSingleRun(quick); });
+            gate("sweep_quickstart", [&] {
+                return benchSweepQuickstart(quick, jobs).first;
+            });
         }
 
         writeJson(out_path, kernels, quick, jobs, speedups,

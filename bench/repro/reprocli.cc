@@ -52,8 +52,6 @@ struct CliOptions
     std::string configFile;
     /** Flag overrides, applied on top of whatever config loaded. */
     std::optional<int> cores;
-    /** Event domains per run (--domains N / --par-run). */
-    std::optional<int> domains;
     std::optional<std::uint64_t> warmup;
     std::optional<std::uint64_t> measure;
     std::optional<std::uint64_t> functionalWarm;
@@ -103,8 +101,6 @@ struct CliOptions
                                                  configFile);
         if (cores)
             config.cores = *cores;
-        if (domains)
-            config.domains = *domains;
         if (warmup)
             config.warmup = *warmup;
         if (measure)
@@ -158,12 +154,6 @@ printUsage(std::ostream &os)
           "exit\n"
           "  --cores N           CMP cores sharing the L2 (default "
           "1)\n"
-          "  --domains N         event domains per run for partitioned "
-          "(conservative-PDES) execution;\n"
-          "                      results are byte-identical at any N "
-          "(default 1: classic serial loop)\n"
-          "  --par-run           shorthand: pick a domain count from "
-          "the hardware thread count\n"
           "  --warm N            timed-warmup instructions per run\n"
           "  --measure N         measured instructions per run\n"
           "  --funcwarm N        functional-warmup instructions per "
@@ -333,17 +323,6 @@ parseArgs(int argc, char **argv, CliOptions &opts)
             opts.jobs = std::atoi(value.c_str());
         } else if (matchValue(argc, argv, i, "--cores", value)) {
             opts.cores = std::atoi(value.c_str());
-        } else if (matchValue(argc, argv, i, "--domains", value)) {
-            opts.domains = std::atoi(value.c_str());
-            if (*opts.domains < 1) {
-                std::cerr << "tlsim_repro: --domains expects a "
-                             "positive count, got '" << value << "'\n";
-                return false;
-            }
-        } else if (std::strcmp(argv[i], "--par-run") == 0) {
-            unsigned hw = std::thread::hardware_concurrency();
-            opts.domains = static_cast<int>(
-                std::max(2u, std::min(8u, hw ? hw : 2u)));
         } else if (matchValue(argc, argv, i, "--warm", value)) {
             opts.warmup = std::strtoull(value.c_str(), nullptr, 10);
         } else if (matchValue(argc, argv, i, "--measure", value)) {
@@ -472,15 +451,6 @@ runTraceMode(const CliOptions &opts)
 
     harness::TraceRunOptions trun;
     trun.config = opts.baseConfig();
-    if (trun.config.domains > 1) {
-        // Sampled replay serializes warm checkpoints mid-run; the
-        // worker domains' shard LRU counters must not leak into
-        // checkpoint bytes, so trace mode always runs serial.
-        warn("--trace replays run serial (warm checkpoints capture "
-             "LRU state); ignoring domains={}",
-             trun.config.domains);
-        trun.config.domains = 1;
-    }
     trun.intervalInstructions = opts.intervalSize;
     trun.maxIntervals = opts.intervals;
     trun.benchmarkLabel =
@@ -866,22 +836,6 @@ reproMain(int argc, char **argv)
                    sink->eventCount());
     }
     return outcome.failed > 0 ? 1 : 0;
-}
-
-int
-experimentMain(const char *experiment_name, int argc, char **argv)
-{
-    // Inject "--filter <name>" unless the caller gave one explicitly.
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--filter", 8) == 0)
-            return reproMain(argc, argv);
-    }
-    std::vector<char *> args(argv, argv + argc);
-    std::string filter = std::string("--filter=") + experiment_name;
-    std::vector<char> filter_arg(filter.begin(), filter.end());
-    filter_arg.push_back('\0');
-    args.push_back(filter_arg.data());
-    return reproMain(static_cast<int>(args.size()), args.data());
 }
 
 } // namespace repro

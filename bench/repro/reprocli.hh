@@ -1,12 +1,10 @@
 /**
  * @file
- * Command-line front end shared by tlsim_repro and the per-table
- * bench binaries.
+ * Command-line front end of tlsim_repro.
  *
  * reproMain() implements the full CLI (experiment selection, worker
- * count, result-cache control, merged stats export); experimentMain()
- * is the same program pinned to a single experiment, which is all a
- * bench_table6_* style binary is.
+ * count, result-cache control, merged stats export);
+ * `tlsim_repro --filter <name>` runs a single experiment.
  */
 
 #ifndef TLSIM_BENCH_REPRO_REPROCLI_HH
@@ -42,9 +40,6 @@ namespace repro
  * @return Process exit code.
  */
 int reproMain(int argc, char **argv);
-
-/** reproMain() pinned to one experiment (e.g. "table6"). */
-int experimentMain(const char *experiment_name, int argc, char **argv);
 
 } // namespace repro
 } // namespace tlsim

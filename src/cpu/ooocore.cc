@@ -41,14 +41,10 @@ OoOCore::waitUntil(Ready ready, std::uint64_t idx)
             // Quiescent queue with requests outstanding, or an
             // over-age request: dump diagnostics and panic (caught
             // by crash-isolated sweeps) instead of asserting blind.
-            // A partitioned run's watchdog can instead report window
-            // progress on a seemingly drained queue: re-poll.
-            if (next == MaxTick) {
-                if (watchdog->onQuiescent(eventq.now()))
-                    continue;
-            } else {
+            if (next == MaxTick)
+                watchdog->onQuiescent(eventq.now());
+            else
                 watchdog->checkAge(eventq.now());
-            }
         }
         TLSIM_ASSERT(next != MaxTick,
                      "deadlock: waiting on instruction {} with an "

@@ -372,9 +372,6 @@ SystemConfig::isDefaultMachine() const
     machine.functionalWarm = defaults.functionalWarm;
     machine.warmup = defaults.warmup;
     machine.measure = defaults.measure;
-    // Execution strategy, not machine identity: a partitioned run of
-    // a default machine must keep the unsuffixed cache keys.
-    machine.domains = defaults.domains;
     return machine == defaults;
 }
 
@@ -418,7 +415,6 @@ saveConfigJson(const SystemConfig &config, std::ostream &os)
     os << "  \"warmup\": " << config.warmup << ",\n";
     os << "  \"measure\": " << config.measure << ",\n";
     os << "  \"coreQuantum\": " << config.coreQuantum << ",\n";
-    os << "  \"domains\": " << config.domains << ",\n";
     const fault::FaultConfig &f = config.fault;
     os << "  \"fault\": {\"enabled\": "
        << (f.enabled ? "true" : "false")
@@ -500,13 +496,6 @@ loadConfigJson(const std::string &text)
     config.warmup = u64Field(root, "warmup");
     config.measure = u64Field(root, "measure");
     config.coreQuantum = u64Field(root, "coreQuantum");
-
-    // Optional so configs written before partitioned execution load.
-    if (root.object.count("domains"))
-        config.domains = intField(root, "domains");
-    if (config.domains < 1)
-        fatal("config requires at least one event domain (got {})",
-              config.domains);
 
     // Optional so configs written before the fault subsystem load.
     auto fault_it = root.object.find("fault");

@@ -126,18 +126,6 @@ struct SystemConfig
      */
     fault::FaultConfig fault;
 
-    /**
-     * Event domains for partitioned (conservative-PDES) execution:
-     * 1 (the default) runs the classic single-queue serial loop;
-     * N > 1 asks the L2 design for a partition plan and runs the
-     * machine across N domains when it grants one. Pure execution
-     * strategy, never machine identity: results are byte-identical
-     * at any domain count, so this field is deliberately excluded
-     * from canonicalKey()/contentHash()/machineHash() and every
-     * existing ResultCache entry stays valid.
-     */
-    int domains = 1;
-
     bool operator==(const SystemConfig &) const = default;
 
     /**

@@ -12,11 +12,7 @@
 #include "mem/memregistry.hh"
 #include "mem/warmstate.hh"
 #include "nuca/dnuca.hh"
-#include "sim/metrics/heatmap.hh"
-#include "sim/pdes/pdes.hh"
 #include "sim/prof/prof.hh"
-#include "sim/trace/debug.hh"
-#include "sim/trace/tracesink.hh"
 #include "tlc/tlccache.hh"
 
 namespace tlsim
@@ -133,8 +129,6 @@ System::System(const SystemConfig &config,
         faultWatchdog->setDiagnostic(
             [this] { l2Cache->dumpFaultDiagnostic(); });
     }
-    if (cfg.domains > 1)
-        setupPartition();
 
     cores.reserve(static_cast<std::size_t>(cfg.cores));
     for (int i = 0; i < cfg.cores; ++i) {
@@ -176,44 +170,6 @@ System::System(DesignKind kind, const cpu::CoreConfig &core_config)
 System::~System() = default;
 
 void
-System::setupPartition()
-{
-    // Observation modes watch the dispatch interleaving itself
-    // (trace spans, DPRINTF lines, heatmap sampling windows), which
-    // a partitioned run reorders in wall-clock even though every
-    // simulated result is byte-identical. Keep those runs serial.
-    std::string reason;
-    if (trace::TraceSink::active()) {
-        reason = "trace capture observes the dispatch interleaving";
-    } else if (metrics::spatialEnabled) {
-        reason = "spatial heatmaps sample from dispatch context";
-    } else {
-        for (const debug::Flag *flag : debug::Flag::all()) {
-            if (flag->enabled()) {
-                reason = "debug flags observe the dispatch "
-                         "interleaving";
-                break;
-            }
-        }
-    }
-    if (reason.empty()) {
-        pdes::PartitionPlan plan = l2Cache->partitionPlan(cfg.domains);
-        if (plan.active()) {
-            executor = std::make_unique<pdes::Executor>(
-                eq, plan.workerDomains, plan.lookahead);
-            l2Cache->setPartition(executor.get());
-            if (faultWatchdog) {
-                faultWatchdog->attachProgressCounter(
-                    &executor->windowGeneration());
-            }
-            return;
-        }
-        reason = plan.serialReason;
-    }
-    warn("domains={}: running serial ({})", cfg.domains, reason);
-}
-
-void
 System::armRunTimeout(double seconds)
 {
     if (seconds <= 0.0)
@@ -233,10 +189,6 @@ System::armRunTimeout(double seconds)
                 faultWatchdog.get(),
                 faultWatchdog->addClient(csprintf("core{}.l1d", i)));
             slot.core->setWatchdog(faultWatchdog.get());
-        }
-        if (executor) {
-            faultWatchdog->attachProgressCounter(
-                &executor->windowGeneration());
         }
     }
     faultWatchdog->setWallDeadline(seconds);

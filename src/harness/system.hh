@@ -255,15 +255,6 @@ class System
     /** Deadlock watchdog, or null when fault injection is disabled. */
     fault::Watchdog *watchdog() { return faultWatchdog.get(); }
     /**
-     * Partitioned-execution coordinator, or null when the machine
-     * runs the classic serial loop (config.domains == 1, the L2
-     * design declined to partition, or an observation mode — trace
-     * capture, debug flags, spatial heatmaps — needs the serial
-     * dispatch interleaving).
-     */
-    pdes::Executor *partitionExecutor() { return executor.get(); }
-
-    /**
      * Arm a wall-clock run timeout (the sweep's --run-timeout under
      * thread isolation): after @p seconds of real time the watchdog
      * panics with a catchable "run timeout" error from the cores'
@@ -388,13 +379,6 @@ class System
     std::unique_ptr<mem::MemBackend> dramModel;
     std::unique_ptr<mem::L2Cache> l2Cache;
     std::vector<CoreSlot> cores;
-    // Declared last so it is destroyed first: the executor's
-    // destructor joins the worker threads and detaches the master
-    // queue's coordinator while the rest of the machine is alive.
-    std::unique_ptr<pdes::Executor> executor;
-
-    /** Build the executor when cfg.domains > 1 grants a plan. */
-    void setupPartition();
 };
 
 /** Metrics extracted from the measured phase of one run. */

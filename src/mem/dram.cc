@@ -62,17 +62,12 @@ Dram::startNext(Tick now)
                        trace::tid::dram);
         }
         RespCallback cb = std::move(pending.cb);
-        if (useTypedHotPathEvents && !finishEventFree.empty()) {
-            FinishEvent *ev = finishEventFree.back();
-            finishEventFree.pop_back();
-            ev->cb = std::move(cb);
-            eventq.schedule(ev, done);
-        } else {
-            eventq.scheduleFunc(done,
-                                [this, cb = std::move(cb), done]() {
-                                    finish(done, cb);
-                                });
-        }
+        TLSIM_ASSERT(!finishEventFree.empty(),
+                     "DRAM finish event pool empty");
+        FinishEvent *ev = finishEventFree.back();
+        finishEventFree.pop_back();
+        ev->cb = std::move(cb);
+        eventq.schedule(ev, done);
     }
 }
 

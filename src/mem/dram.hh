@@ -64,9 +64,10 @@ class Dram : public MemBackend
 
     /**
      * Pre-allocated intrusive completion event; one per outstanding
-     * slot, so the pool never runs dry (the lambda path backs it up
-     * defensively). Moving the RespCallback in and out transfers its
-     * buffer without allocating. Owned by the Dram, never the queue.
+     * slot, back in the pool before finish() frees that slot, so the
+     * pool never runs dry. Moving the RespCallback in and out
+     * transfers its buffer without allocating. Owned by the Dram,
+     * never the queue.
      */
     class FinishEvent : public Event
     {

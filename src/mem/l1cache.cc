@@ -117,15 +117,11 @@ L1Cache::startMiss(Addr block_addr, AccessType type, Tick now)
         type == AccessType::Store ? AccessType::Load : type;
     MemRequest l2_req{block_addr, l2_type, depart, requesterId,
                       idSource->next()};
-    if (useTypedHotPathEvents && !missEventFree.empty()) {
-        MissEvent *ev = missEventFree.back();
-        missEventFree.pop_back();
-        ev->req = l2_req;
-        eventq.schedule(ev, depart);
-    } else {
-        eventq.scheduleFunc(depart,
-                            [this, l2_req]() { issueMiss(l2_req); });
-    }
+    TLSIM_ASSERT(!missEventFree.empty(), "L1 miss event pool empty");
+    MissEvent *ev = missEventFree.back();
+    missEventFree.pop_back();
+    ev->req = l2_req;
+    eventq.schedule(ev, depart);
 }
 
 void

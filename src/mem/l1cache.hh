@@ -229,10 +229,11 @@ class L1Cache : public stats::StatGroup
     /**
      * Pre-allocated intrusive event carrying one L2-bound miss from
      * the tag check to its departure tick. One per MSHR: a miss only
-     * schedules while its MSHR is held, so the pool never runs dry
-     * (the lambda path backs it up defensively). Owned by the cache,
-     * never by the queue — the Entry's selfDel snapshot keeps queue
-     * teardown from touching these after the cache is gone.
+     * schedules while its MSHR is held, and the event is back in the
+     * pool before that MSHR can be released, so the pool never runs
+     * dry. Owned by the cache, never by the queue — the Entry's
+     * selfDel snapshot keeps queue teardown from touching these after
+     * the cache is gone.
      */
     class MissEvent : public Event
     {

@@ -13,7 +13,6 @@
 #include "mem/membackend.hh"
 #include "mem/request.hh"
 #include "sim/eventq.hh"
-#include "sim/pdes/partition.hh"
 #include "sim/stats.hh"
 #include "sim/trace/breakdown.hh"
 
@@ -162,32 +161,6 @@ class L2Cache : public stats::StatGroup
      * StatGroup reset handles the registered stats themselves).
      */
     virtual void beginMeasurement() {}
-
-    /**
-     * Partitioned-execution plan for @p domains event domains: which
-     * of the design's structures can run in worker domains, and the
-     * conservative lookahead bounding each window (see
-     * sim/pdes/partition.hh). The default declines with a reason the
-     * harness logs before running serial; declining never changes
-     * results, only wall-clock time.
-     */
-    virtual pdes::PartitionPlan
-    partitionPlan(int domains) const
-    {
-        pdes::PartitionPlan plan;
-        (void)domains;
-        plan.serialReason =
-            designName() + " does not implement domain partitioning";
-        return plan;
-    }
-
-    /**
-     * Attach the executor a granted partitionPlan() produced (or
-     * null to detach). Only called with a non-null executor when the
-     * design's own plan was active; the design routes its
-     * worker-domain events through it from then on.
-     */
-    virtual void setPartition(pdes::Executor *) {}
 
     /** Average link utilization over an interval of elapsed cycles. */
     double

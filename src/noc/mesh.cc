@@ -89,12 +89,7 @@ Mesh::routeMessage(Coord from, Coord to, int flits, Tick now)
 void
 Mesh::deliverAt(Tick tail, DeliverCallback cb)
 {
-    if (useTypedHotPathEvents) {
-        eventq.scheduleCallback(tail, std::move(cb));
-    } else {
-        eventq.scheduleFunc(tail,
-                            [cb = std::move(cb), tail]() { cb(tail); });
-    }
+    eventq.scheduleCallback(tail, std::move(cb));
 }
 
 namespace
@@ -126,12 +121,6 @@ Mesh::sendToBank(Coord dst, int flits, Tick now, DeliverCallback cb)
         sink->span(trace::cat::noc,
                    csprintf("to ({},{})", dst.row, dst.col), now, tail,
                    trace::tid::nocBase);
-    }
-    if (bankRouter) [[unlikely]] {
-        // Partitioned run: banks owned by a worker domain take the
-        // delivery there; the router declines for domain-0 banks.
-        if (bankRouter(dst, tail, cb))
-            return;
     }
     deliverAt(tail, std::move(cb));
 }
@@ -189,27 +178,19 @@ Mesh::multicastToColumn(int col, const std::vector<int> &rows,
                    trace::tid::nocBase);
     }
 
-    // Typed: one pooled event per row, all sharing one copy of the
-    // callback. Otherwise each row's lambda carries its own copy.
-    MulticastGroup *group = nullptr;
-    if (useTypedHotPathEvents) {
-        if (groupFree.empty()) {
-            group = &groups.emplace_back();
-        } else {
-            group = groupFree.back();
-            groupFree.pop_back();
-        }
-        group->cb = std::move(cb);
-        group->pendingRows = static_cast<int>(rows.size());
+    // One pooled event per row, all sharing one copy of the callback.
+    MulticastGroup *group;
+    if (groupFree.empty()) {
+        group = &groups.emplace_back();
+    } else {
+        group = groupFree.back();
+        groupFree.pop_back();
     }
+    group->cb = std::move(cb);
+    group->pendingRows = static_cast<int>(rows.size());
     for (int row : rows) {
         Tick tail = arrivalScratch[static_cast<std::size_t>(row)] +
                     static_cast<Tick>(flits - 1);
-        if (!group) {
-            eventq.scheduleFunc(tail,
-                                [cb, row, tail]() { cb(row, tail); });
-            continue;
-        }
         RowDeliveryEvent *ev;
         if (rowEventFree.empty()) {
             ev = &rowEvents.emplace_back(*this);

@@ -76,26 +76,6 @@ class Mesh
     using DeliverCallback = std::function<void(Tick)>;
 
     /**
-     * Partitioned-execution delivery hook for controller-to-bank
-     * messages: called after routing with the destination, the tail
-     * tick, and the callback. Returns true after taking ownership of
-     * @p cb (the delivery will run in a worker event domain);
-     * returning false leaves @p cb untouched and the mesh schedules
-     * the delivery on its own queue as usual. Routing, link
-     * reservations, and energy accounting always stay on the caller
-     * (domain-0) side — only the delivery dispatch moves.
-     */
-    using BankDeliveryRouter =
-        std::function<bool(Coord dst, Tick tail, DeliverCallback &cb)>;
-
-    /** Install (or clear, with nullptr) the bank-delivery router. */
-    void
-    setBankDeliveryRouter(BankDeliveryRouter router)
-    {
-        bankRouter = std::move(router);
-    }
-
-    /**
      * Send a message from the controller to a bank.
      * @param dst Destination bank coordinate.
      * @param flits Message length in flits.
@@ -258,7 +238,6 @@ class Mesh
     double flitHopEnergyJ = 0.0;
     fault::Injector *injector = nullptr;
     std::uint64_t degradedHops = 0;
-    BankDeliveryRouter bankRouter;
 
     /** One multicast's callback, shared by its rows' events. */
     struct MulticastGroup

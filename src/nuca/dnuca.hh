@@ -85,23 +85,6 @@ class DnucaCache : public mem::L2Cache
 
     void beginMeasurement() override;
 
-    /**
-     * DNUCA always runs serial: the shared BankSetArray (promotion
-     * state spanning every bank row of a column) is mutated from
-     * bank-side mesh callbacks with zero lookahead against the
-     * controller's broadcast searches, so no bank can leave domain 0.
-     */
-    pdes::PartitionPlan
-    partitionPlan(int domains) const override
-    {
-        pdes::PartitionPlan plan;
-        (void)domains;
-        plan.serialReason =
-            "DNUCA promotion state is shared across bank rows and "
-            "mutated from bank-side callbacks with zero lookahead";
-        return plan;
-    }
-
     void dumpFaultDiagnostic() const override;
 
     /** Uncontended round-trip latency to a bank row of a column. */

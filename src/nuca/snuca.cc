@@ -6,7 +6,6 @@
 
 #include "mem/l2registry.hh"
 #include "mem/warmstate.hh"
-#include "sim/pdes/pdes.hh"
 #include "sim/prof/prof.hh"
 #include "sim/trace/debug.hh"
 #include "sim/trace/tracesink.hh"
@@ -117,61 +116,6 @@ SnucaCache::linkCount() const
     return mesh.linkCount();
 }
 
-pdes::PartitionPlan
-SnucaCache::partitionPlan(int domains) const
-{
-    pdes::PartitionPlan plan;
-    if (injector && injector->config().bitErrorRate > 0.0) {
-        plan.serialReason =
-            "SNUCA2 link-error retries re-reserve bank ports from "
-            "controller context with zero lookahead";
-        return plan;
-    }
-    // Only banks at least one vertical hop from the controller edge
-    // have a guaranteed minimum flight latency.
-    int eligible = (cfg.rows - 1) * cfg.cols;
-    if (eligible < 1 || domains < 2) {
-        plan.serialReason = "SNUCA2 has no worker-eligible banks for "
-                            "this geometry/domain count";
-        return plan;
-    }
-    plan.workerDomains = std::min(domains - 1, eligible);
-    plan.lookahead = static_cast<Tick>(cfg.hopLatency);
-    return plan;
-}
-
-void
-SnucaCache::setPartition(pdes::Executor *executor)
-{
-    exec = executor;
-    if (!exec) {
-        mesh.setBankDeliveryRouter(nullptr);
-        bankWorker.clear();
-        shards.clear();
-        return;
-    }
-    int wd = exec->workerCount();
-    TLSIM_ASSERT(wd >= 1, "partition attach without worker domains");
-    bankWorker.assign(static_cast<std::size_t>(cfg.banks), -1);
-    for (int b = 0; b < cfg.banks; ++b) {
-        if (b / cfg.cols >= 1)
-            bankWorker[static_cast<std::size_t>(b)] = b % wd;
-    }
-    shards.assign(static_cast<std::size_t>(wd), Shard{});
-    // Routing, link reservations, and energy accounting stay with the
-    // caller (domain 0); only the bank-side delivery dispatch moves.
-    mesh.setBankDeliveryRouter(
-        [this](noc::Coord dst, Tick tail,
-               noc::Mesh::DeliverCallback &cb) {
-            int bank = dst.row * cfg.cols + dst.col;
-            int w = bankWorker[static_cast<std::size_t>(bank)];
-            if (w < 0)
-                return false;
-            exec->postToWorker(w, tail, std::move(cb));
-            return true;
-        });
-}
-
 void
 SnucaCache::access(const mem::MemRequest &l2_req, mem::RespCallback cb)
 {
@@ -279,16 +223,9 @@ SnucaCache::handleRead(Addr block_addr, int bank, Tick arrival,
 
     auto way = array.lookup(frame_addr);
     if (way) {
-        int w = workerOf(bank);
-        if (w >= 0) {
-            Shard &shard = shards[static_cast<std::size_t>(w)];
-            ++shard.hits;
-            array.touch(frame_addr, *way, ++shard.use, false);
-        } else {
-            ++hits;
-            ++useCounter;
-            array.touch(frame_addr, *way, useCounter, false);
-        }
+        ++hits;
+        ++useCounter;
+        array.touch(frame_addr, *way, useCounter, false);
         sendHitResponse(block_addr, bank, done, issue, req, 0, 0,
                         std::move(cb));
         return;
@@ -298,8 +235,8 @@ SnucaCache::handleRead(Addr block_addr, int bank, Tick arrival,
     // (Intentionally not CRC-retried: a corrupted "miss" notification
     // only delays the memory fetch the controller's timeout forces
     // anyway.)
-    sendToControllerFrom(
-        bank, addrFlits, done,
+    mesh.sendToController(
+        coordOf(bank), addrFlits, done,
         [this, block_addr, bank, issue, req,
          cb = std::move(cb)](Tick tick) {
             Tick latency = tick - issue;
@@ -311,35 +248,13 @@ SnucaCache::handleRead(Addr block_addr, int bank, Tick arrival,
 }
 
 void
-SnucaCache::sendToControllerFrom(int bank, int flits, Tick done,
-                                 noc::Mesh::DeliverCallback cb)
-{
-    int w = workerOf(bank);
-    if (w >= 0) {
-        exec->postToMaster(
-            w, [this, bank, flits, done,
-                cb = std::move(cb)](Tick) mutable {
-                mesh.sendToController(coordOf(bank), flits, done,
-                                      std::move(cb));
-            });
-        return;
-    }
-    mesh.sendToController(coordOf(bank), flits, done, std::move(cb));
-}
-
-void
 SnucaCache::sendHitResponse(Addr block_addr, int bank, Tick done,
                             Tick issue, std::uint64_t req, int attempt,
                             Tick healthy_first, mem::RespCallback cb)
 {
     int flits = dataFlits(cfg.flitBits);
-    // The response body runs in controller (domain-0) context: fault
-    // RNG draws and any retry's bank-port re-reservation stay serial.
-    // Retries themselves are unreachable in a partitioned run (the
-    // plan declines when bitErrorRate > 0), so the recursion below
-    // always takes the synchronous branch of sendToControllerFrom.
-    sendToControllerFrom(
-        bank, flits, done,
+    mesh.sendToController(
+        coordOf(bank), flits, done,
         [this, block_addr, bank, issue, req, attempt, healthy_first,
          flits, cb = std::move(cb)](Tick tail) mutable {
             Tick first_word = tail - (flits - 1);
@@ -434,29 +349,23 @@ SnucaCache::installBlock(Addr block_addr, int bank, Tick now, bool dirty)
     Addr frame_addr = block_addr >> __builtin_ctz(cfg.banks);
     bankPorts[static_cast<std::size_t>(bank)].reserve(now, bankCycles);
 
-    int w = workerOf(bank);
-    Shard *shard =
-        w >= 0 ? &shards[static_cast<std::size_t>(w)] : nullptr;
-    std::uint64_t use = shard ? ++shard->use : ++useCounter;
+    ++useCounter;
     auto way = array.lookup(frame_addr);
     if (way) {
-        array.touch(frame_addr, *way, use, dirty);
+        array.touch(frame_addr, *way, useCounter, dirty);
         return;
     }
-    auto evicted = array.insert(frame_addr, use, dirty);
+    auto evicted = array.insert(frame_addr, useCounter, dirty);
     if (evicted && evicted->dirty) {
-        if (shard)
-            ++shard->writebacks;
-        else
-            ++writebacksToMemory;
+        ++writebacksToMemory;
         Addr victim_addr =
             (evicted->blockAddr << __builtin_ctz(cfg.banks)) |
             static_cast<Addr>(bank);
         int flits = dataFlits(cfg.flitBits);
-        sendToControllerFrom(bank, flits, now,
-                             [this, victim_addr](Tick tick) {
-                                 dram.write(victim_addr, tick);
-                             });
+        mesh.sendToController(coordOf(bank), flits, now,
+                              [this, victim_addr](Tick tick) {
+                                  dram.write(victim_addr, tick);
+                              });
     }
 }
 
@@ -466,31 +375,11 @@ SnucaCache::beginMeasurement()
     mesh.resetStats();
     for (auto &port : bankPorts)
         port.resetStats();
-    // Warmup-era shard counts are discarded like the registered
-    // Scalars they shadow; the LRU use counters must survive.
-    for (auto &shard : shards) {
-        shard.hits = 0;
-        shard.writebacks = 0;
-    }
 }
 
 void
 SnucaCache::syncStats()
 {
-    // Fold the worker domains' counters into the shared Scalars
-    // (and zero them so repeated syncs don't double-count). Runs
-    // between windows on the master thread, never concurrently with
-    // worker spans.
-    for (auto &shard : shards) {
-        hits += static_cast<double>(shard.hits);
-        writebacksToMemory += static_cast<double>(shard.writebacks);
-        shard.hits = 0;
-        shard.writebacks = 0;
-    }
-    std::uint64_t bank_busy = 0;
-    for (const auto &port : bankPorts)
-        bank_busy += port.busyCycles();
-    (void)bank_busy; // bank occupancy is not a link stat
     linkBusyCycles = static_cast<double>(mesh.totalBusyCycles());
     networkEnergy = mesh.energyConsumed();
     degradedRequests = static_cast<double>(mesh.degradedHopCount());

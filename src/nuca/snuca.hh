@@ -69,19 +69,6 @@ class SnucaCache : public mem::L2Cache
 
     void beginMeasurement() override;
 
-    /**
-     * SNUCA2 partitions cleanly: banks in rows >= 1 only couple to
-     * the rest of the machine through a mesh flight of at least one
-     * vertical hop (lookahead = hopLatency), so they move to worker
-     * domains. Row-0 banks (zero-hop flight possible) and everything
-     * order-sensitive — mesh links, DRAM, fault RNG — stay in domain
-     * 0. Declines when bitErrorRate > 0: the CRC-retry path
-     * re-reserves bank ports from the controller with zero lookahead.
-     */
-    pdes::PartitionPlan partitionPlan(int domains) const override;
-
-    void setPartition(pdes::Executor *executor) override;
-
     /** Uncontended round-trip latency to a bank (Table 2). */
     Cycles uncontendedLatency(int bank) const;
 
@@ -129,23 +116,6 @@ class SnucaCache : public mem::L2Cache
     /** Write a block into a bank (fill or store), evicting as needed. */
     void installBlock(Addr block_addr, int bank, Tick now, bool dirty);
 
-    /**
-     * Send a bank-to-controller message from bank-side context. In a
-     * partitioned run a worker-owned bank posts the send back to
-     * domain 0 (mesh links are domain-0 state) with an order key just
-     * after its triggering delivery's serial slot; otherwise the call
-     * is the plain synchronous mesh send.
-     */
-    void sendToControllerFrom(int bank, int flits, Tick done,
-                              noc::Mesh::DeliverCallback cb);
-
-    /** Worker domain owning @p bank, or -1 for domain 0. */
-    int
-    workerOf(int bank) const
-    {
-        return exec ? bankWorker[static_cast<std::size_t>(bank)] : -1;
-    }
-
     SnucaConfig cfg;
     noc::Mesh mesh;
     cacti::SramBankModel bankModel;
@@ -156,31 +126,6 @@ class SnucaCache : public mem::L2Cache
     std::uint64_t useCounter = 0;
     /** Extra round-trip cycles for controller injection/ejection. */
     Tick roundTripInjection = 0;
-
-    /**
-     * Timed-phase LRU counter base for worker-domain shards: far
-     * above any global useCounter value functional warmup can reach
-     * (budgets are < 2^40 accesses), so warm-era touches always
-     * compare older than timed worker touches — exactly the relation
-     * the serial run's single monotone counter gives. Counter values
-     * are only ever compared within one set (one bank, one domain),
-     * so per-domain monotone counters reproduce serial LRU decisions
-     * bit-exactly.
-     */
-    static constexpr std::uint64_t timedUseBase = 1ull << 40;
-
-    /** Per-worker-domain counters mutated from worker threads. */
-    struct alignas(64) Shard
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t writebacks = 0;
-        std::uint64_t use = timedUseBase;
-    };
-
-    /** Partitioned-run state (empty/null when running serial). */
-    pdes::Executor *exec = nullptr;
-    std::vector<int> bankWorker;
-    std::vector<Shard> shards;
 
     /**
      * Spatial heatmaps (constructed only when

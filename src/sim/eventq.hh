@@ -8,8 +8,8 @@
  * EventQueue::scheduleFunc) or long-lived Event subclasses that are
  * rescheduled repeatedly without allocation. One-shot lambdas are
  * pooled per queue: firing returns the LambdaEvent to a freelist
- * instead of the allocator, so the hottest scheduling path
- * (L1 miss -> scheduleFunc) stops calling new/delete.
+ * instead of the allocator. The memory system's hot paths use
+ * pre-allocated typed events or pooled tick callbacks only.
  */
 
 #ifndef TLSIM_SIM_EVENTQ_HH
@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <new>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -33,38 +32,8 @@ namespace tlsim
 
 class EventQueue;
 
-/**
- * Coordinator a partitioned run installs on the machine's master
- * queue (sim/pdes): advanceTo/nextTick delegate here so the cores'
- * driving loop transparently advances *all* event domains. The
- * ...Direct entry points below bypass the delegation — they are what
- * the coordinator itself uses on the queues it manages.
- */
-class EventCoordinator
-{
-  public:
-    virtual ~EventCoordinator() = default;
-
-    /** Advance every domain to @p limit; returns events processed. */
-    virtual std::uint64_t coordAdvanceTo(Tick limit) = 0;
-
-    /** Earliest pending tick across all domains (MaxTick if none). */
-    virtual Tick coordNextTick() = 0;
-};
-
 /** Debug hook invoked just before a past-scheduling panic. */
 inline void (*scheduleViolationHook)() = nullptr;
-
-/**
- * When true (the default) the memory-system hot paths schedule
- * intrusive pre-allocated typed events; when false they fall back to
- * the historical scheduleFunc lambda path. The two paths schedule at
- * identical ticks/priorities in identical order, so results are
- * bit-identical either way — the toggle exists so the determinism
- * tests can assert exactly that. Flip only between runs, never while
- * a System is live.
- */
-inline bool useTypedHotPathEvents = true;
 
 /**
  * Base class for all schedulable events.
@@ -166,8 +135,6 @@ class LambdaEvent : public Event
     EventQueue *owner = nullptr;
     /** True while sitting in the owner's freelist. */
     bool pooled = false;
-    /** Placement-constructed in an arena; destroy, never delete. */
-    bool arenaBacked = false;
 };
 
 /**
@@ -213,8 +180,6 @@ class TickCallbackEvent : public Event
     EventQueue *owner = nullptr;
     /** True while sitting in the owner's freelist. */
     bool pooled = false;
-    /** Placement-constructed in an arena; destroy, never delete. */
-    bool arenaBacked = false;
 };
 
 /**
@@ -226,16 +191,6 @@ class TickCallbackEvent : public Event
 class EventQueue
 {
   public:
-    /**
-     * Optional backing allocator for the pooled one-shot events
-     * (sim/pdes arenas): returns @p bytes of storage aligned to
-     * @p align from @p ctx. Hook-backed events are destroyed in
-     * place on queue teardown, never deleted — the hook's memory
-     * must outlive the queue.
-     */
-    using AllocHook = void *(*)(void *ctx, std::size_t bytes,
-                                std::size_t align);
-
     EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
@@ -254,18 +209,10 @@ class EventQueue
             if (entry.selfDel)
                 recycleAny(entry.event);
         }
-        for (LambdaEvent *ev : lambdaPool) {
-            if (ev->arenaBacked)
-                ev->~LambdaEvent();
-            else
-                delete ev;
-        }
-        for (TickCallbackEvent *ev : callbackPool) {
-            if (ev->arenaBacked)
-                ev->~TickCallbackEvent();
-            else
-                delete ev;
-        }
+        for (LambdaEvent *ev : lambdaPool)
+            delete ev;
+        for (TickCallbackEvent *ev : callbackPool)
+            delete ev;
     }
 
     /** Current simulated time in ticks. */
@@ -285,87 +232,29 @@ class EventQueue
     void
     schedule(Event *event, Tick when)
     {
-        TLSIM_ASSERT(!requireExplicitSeq,
-                     "implicit-sequence schedule on a queue that "
-                     "requires explicit (cross-domain) keys");
-        scheduleImpl(event, when, allocSequence());
-    }
-
-    /**
-     * Schedule with an explicit order key instead of drawing one.
-     * The partitioned executor uses this to place cross-domain
-     * deliveries at their serial-run heap positions; @p seq must be
-     * unique among entries sharing (when, priority).
-     */
-    void
-    scheduleWithSequence(Event *event, Tick when, std::uint64_t seq)
-    {
-        scheduleImpl(event, when, seq);
-    }
-
-    /**
-     * Draw the next implicit sequence number, advancing the counter
-     * by the configured stride.
-     */
-    std::uint64_t
-    allocSequence()
-    {
-        std::uint64_t seq = nextSequence;
-        nextSequence += seqStride;
-        return seq;
-    }
-
-    /**
-     * Set the spacing of implicit sequence draws. The partitioned
-     * executor strides the master queue so the slots between
-     * consecutive draws stay free for worker-side child records;
-     * serial runs keep the default stride of 1.
-     */
-    void setSequenceStride(std::uint64_t stride) { seqStride = stride; }
-
-    /**
-     * Forbid implicit sequence draws: every schedule must carry an
-     * explicit key. Set on worker-domain queues, whose entire event
-     * population is keyed in the master queue's sequence space.
-     */
-    void
-    setRequireExplicitSequence(bool require)
-    {
-        requireExplicitSeq = require;
-    }
-
-    /**
-     * Sequence key of the event currently being dispatched (valid
-     * inside Event::process). Worker-side dispatches use it to mint
-     * child-record keys adjacent to their own.
-     */
-    std::uint64_t
-    currentDispatchSequence() const
-    {
-        return curDispatchSeq;
-    }
-
-    /**
-     * Back pool growth with a bump-allocator hook (or detach with
-     * null). Only affects events allocated after the call; the
-     * hook's memory must outlive the queue.
-     */
-    void
-    setAllocHook(AllocHook hook, void *ctx)
-    {
-        allocHook = hook;
-        allocCtx = ctx;
-    }
-
-    /**
-     * Install (or clear) a coordinator: advanceTo and nextTick then
-     * delegate to it, making the partitioned run transparent to the
-     * cores' driving loop.
-     */
-    void
-    setCoordinator(EventCoordinator *coord)
-    {
-        coordinator = coord;
+        TLSIM_ASSERT(event != nullptr, "null event");
+        TLSIM_ASSERT(!event->_scheduled, "event '{}' already scheduled",
+                     event->name());
+        if (when < curTick && scheduleViolationHook)
+            scheduleViolationHook();
+        TLSIM_ASSERT(when >= curTick,
+                     "scheduling event '{}' at {} in the past (now {})",
+                     event->name(), when, curTick);
+        if (trace::observed()) [[unlikely]]
+            observeSchedule(event, when);
+        event->_when = when;
+        event->_sequence = nextSequence++;
+        event->_scheduled = true;
+        heap.push_back(Entry{when, event, event->_sequence,
+                             event->_priority, event->_selfDeleting});
+        std::push_heap(heap.begin(), heap.end(), Later{});
+        ++liveCount;
+        // Retry-heavy runs squash far more entries than they fire;
+        // compact before stale entries dominate the heap.
+        if (heap.size() > compactMinHeap &&
+            heap.size() - liveCount > 2 * liveCount) {
+            compact();
+        }
     }
 
     /**
@@ -407,14 +296,6 @@ class EventQueue
             lambdaPool.pop_back();
             ev->rearm(std::move(fn));
             ev->_priority = priority;
-        } else if (allocHook) {
-            void *mem = allocHook(allocCtx, sizeof(LambdaEvent),
-                                  alignof(LambdaEvent));
-            ev = new (mem) LambdaEvent(std::move(fn), priority);
-            ev->owner = this;
-            ev->arenaBacked = true;
-            ++lambdaAllocatedCount;
-            ++lambdaArenaCount;
         } else {
             ev = new LambdaEvent(std::move(fn), priority);
             ev->owner = this;
@@ -452,37 +333,13 @@ class EventQueue
     }
 
     /**
-     * scheduleCallback with an explicit cross-domain order key (see
-     * scheduleWithSequence).
-     * @return The created event (owned by the queue machinery).
-     */
-    Event *
-    scheduleCallbackKeyed(Tick when, std::uint64_t seq,
-                          std::function<void(Tick)> fn,
-                          int priority = Event::defaultPriority)
-    {
-        TickCallbackEvent *ev = acquireCallback(std::move(fn),
-                                                priority);
-        try {
-            scheduleImpl(ev, when, seq);
-        } catch (...) {
-            recycleCallback(ev);
-            throw;
-        }
-        return ev;
-    }
-
-    /**
-     * Execute events with tick <= limit, in order. Under a
-     * coordinator this advances *all* event domains; afterwards
+     * Execute events with tick <= limit, in order; afterwards
      * now() == max(limit, previous now()).
      * @return Number of events processed.
      */
     std::uint64_t
     advanceTo(Tick limit)
     {
-        if (coordinator) [[unlikely]]
-            return coordinator->coordAdvanceTo(limit);
         // Nothing due by limit: the heap top holds the least `when`
         // of all entries, live or stale, so no event can fire. Stale
         // entries stay for a later pop; they never affect order.
@@ -491,16 +348,6 @@ class EventQueue
                 curTick = limit;
             return 0;
         }
-        return advanceDirect(limit);
-    }
-
-    /**
-     * advanceTo on this queue alone, bypassing any coordinator (the
-     * coordinator itself advances its domains through this).
-     */
-    std::uint64_t
-    advanceDirect(Tick limit)
-    {
         // Profiling costs nothing per event even when on: sampling
         // is tick-strided, so the dispatch loop runs unmodified
         // between sample points and the stop tick rides the loop's
@@ -520,9 +367,6 @@ class EventQueue
     std::uint64_t
     run(Tick max_tick = MaxTick)
     {
-        // Driven via nextTick/advanceTo (not empty()) so a
-        // coordinator's worker domains keep the loop alive even
-        // when this queue itself has drained.
         std::uint64_t processed = 0;
         while (true) {
             Tick next = nextTick();
@@ -535,21 +379,9 @@ class EventQueue
         return processed;
     }
 
-    /**
-     * Tick of the earliest live event, or MaxTick when empty. Under
-     * a coordinator: the earliest tick across all domains.
-     */
+    /** Tick of the earliest live event, or MaxTick when empty. */
     Tick
     nextTick()
-    {
-        if (coordinator) [[unlikely]]
-            return coordinator->coordNextTick();
-        return nextTickDirect();
-    }
-
-    /** nextTick on this queue alone, bypassing any coordinator. */
-    Tick
-    nextTickDirect()
     {
         while (!heap.empty()) {
             const Entry &top = heap.front();
@@ -594,16 +426,6 @@ class EventQueue
         return callbackAllocatedCount - callbackPool.size();
     }
 
-    /** LambdaEvents placement-built in the alloc hook's arena. */
-    std::size_t lambdaArenaAllocated() const { return lambdaArenaCount; }
-
-    /** TickCallbackEvents placement-built in the alloc hook's arena. */
-    std::size_t
-    callbackArenaAllocated() const
-    {
-        return callbackArenaCount;
-    }
-
     /** Heap entries, live and squashed (>= size()). */
     std::size_t heapSize() const { return heap.size(); }
 
@@ -620,35 +442,6 @@ class EventQueue
     /** Below this heap size compaction is never worth the make_heap. */
     static constexpr std::size_t compactMinHeap = 64;
 
-    /** The shared scheduling tail behind every schedule flavour. */
-    void
-    scheduleImpl(Event *event, Tick when, std::uint64_t seq)
-    {
-        TLSIM_ASSERT(event != nullptr, "null event");
-        TLSIM_ASSERT(!event->_scheduled, "event '{}' already scheduled",
-                     event->name());
-        if (when < curTick && scheduleViolationHook)
-            scheduleViolationHook();
-        TLSIM_ASSERT(when >= curTick,
-                     "scheduling event '{}' at {} in the past (now {})",
-                     event->name(), when, curTick);
-        if (trace::observed()) [[unlikely]]
-            observeSchedule(event, when);
-        event->_when = when;
-        event->_sequence = seq;
-        event->_scheduled = true;
-        heap.push_back(Entry{when, event, event->_sequence,
-                             event->_priority, event->_selfDeleting});
-        std::push_heap(heap.begin(), heap.end(), Later{});
-        ++liveCount;
-        // Retry-heavy runs squash far more entries than they fire;
-        // compact before stale entries dominate the heap.
-        if (heap.size() > compactMinHeap &&
-            heap.size() - liveCount > 2 * liveCount) {
-            compact();
-        }
-    }
-
     /** Pool-or-allocate a TickCallbackEvent ready to schedule. */
     TickCallbackEvent *
     acquireCallback(std::function<void(Tick)> fn, int priority)
@@ -659,14 +452,6 @@ class EventQueue
             callbackPool.pop_back();
             ev->rearm(std::move(fn));
             ev->_priority = priority;
-        } else if (allocHook) {
-            void *mem = allocHook(allocCtx, sizeof(TickCallbackEvent),
-                                  alignof(TickCallbackEvent));
-            ev = new (mem) TickCallbackEvent(std::move(fn), priority);
-            ev->owner = this;
-            ev->arenaBacked = true;
-            ++callbackAllocatedCount;
-            ++callbackArenaCount;
         } else {
             ev = new TickCallbackEvent(std::move(fn), priority);
             ev->owner = this;
@@ -743,7 +528,6 @@ class EventQueue
             if (top.when > limit)
                 break;
             curTick = top.when;
-            curDispatchSeq = top.sequence;
             popTop();
             ev->_scheduled = false;
             --liveCount;
@@ -812,7 +596,6 @@ class EventQueue
             if (top.when > limit)
                 return false;
             curTick = top.when;
-            curDispatchSeq = top.sequence;
             popTop();
             ev->_scheduled = false;
             --liveCount;
@@ -936,34 +719,20 @@ class EventQueue
     }
 
     // Member order is deliberate: the per-schedule/per-dispatch state
-    // (current tick, sequence counter and stride, the coordinator
-    // check, live count) sits together right behind the heap vector
-    // so the hot paths touch as few cache lines as possible; pools,
-    // bookkeeping counters, and cold configuration follow.
+    // (current tick, sequence counter, live count) sits together right
+    // behind the heap vector so the hot paths touch as few cache lines
+    // as possible; pools and bookkeeping counters follow.
     std::vector<Entry> heap;
     Tick curTick = 0;
     std::uint64_t nextSequence = 0;
-    /** Spacing of implicit sequence draws (1 except under PDES). */
-    std::uint64_t seqStride = 1;
-    /** Sequence key of the in-flight dispatch (see accessor). */
-    std::uint64_t curDispatchSeq = 0;
     std::size_t liveCount = 0;
-    /** Installed by a partitioned run; null in serial mode. */
-    EventCoordinator *coordinator = nullptr;
-    /** Reject implicit draws (worker-domain queues). */
-    bool requireExplicitSeq = false;
     std::vector<LambdaEvent *> lambdaPool;
     std::vector<TickCallbackEvent *> callbackPool;
     /** Cumulative dispatched events; weights profiler samples. */
     std::uint64_t dispatchedCount = 0;
     std::size_t lambdaAllocatedCount = 0;
     std::size_t callbackAllocatedCount = 0;
-    std::size_t lambdaArenaCount = 0;
-    std::size_t callbackArenaCount = 0;
     std::uint64_t compactionCount = 0;
-    /** Arena hook backing pool growth (null: plain new). */
-    AllocHook allocHook = nullptr;
-    void *allocCtx = nullptr;
 };
 
 inline void

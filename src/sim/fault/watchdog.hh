@@ -16,7 +16,6 @@
 #ifndef TLSIM_SIM_FAULT_WATCHDOG_HH
 #define TLSIM_SIM_FAULT_WATCHDOG_HH
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -116,43 +115,15 @@ class Watchdog
     }
 
     /**
-     * Partitioned runs: poll the executor's window-barrier generation
-     * counter before declaring a quiescent queue dead. A domain-0
-     * view of "no events" can race a window whose cross-domain
-     * messages are still staged; a generation bump since the last
-     * quiescence check proves the machine is making progress.
+     * The event queue drained with requests still outstanding: a
+     * completion callback was lost. Returns when nothing is pending;
+     * fires otherwise.
      */
     void
-    attachProgressCounter(const std::atomic<std::uint64_t> *counter)
-    {
-        progressCounter = counter;
-        lastSeenGeneration = counter ? counter->load(
-                                           std::memory_order_relaxed)
-                                     : 0;
-    }
-
-    /**
-     * The event queue drained with requests still outstanding: a
-     * completion callback was lost. Fires if anything is pending —
-     * unless an attached progress counter advanced since the last
-     * check, in which case the caller should re-poll the queue.
-     * @return true to retry (progress was observed), false when
-     *         nothing is pending; panics otherwise.
-     */
-    bool
     onQuiescent(Tick now)
     {
-        if (pending.empty())
-            return false;
-        if (progressCounter) {
-            std::uint64_t gen =
-                progressCounter->load(std::memory_order_relaxed);
-            if (gen != lastSeenGeneration) {
-                lastSeenGeneration = gen;
-                return true;
-            }
-        }
-        fire(now, "event queue quiescent");
+        if (!pending.empty())
+            fire(now, "event queue quiescent");
     }
 
   private:
@@ -169,9 +140,6 @@ class Watchdog
     /** (client, block address) -> issue tick; ordered for stable dumps. */
     std::map<std::pair<int, std::uint64_t>, Tick> pending;
     std::uint64_t fired = 0;
-    /** Executor window generation (null for serial runs). */
-    const std::atomic<std::uint64_t> *progressCounter = nullptr;
-    std::uint64_t lastSeenGeneration = 0;
 };
 
 } // namespace fault

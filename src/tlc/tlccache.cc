@@ -452,14 +452,7 @@ TlcCache::handleLoad(Addr block_addr, Tick now, std::uint64_t req,
         // Deliver through the event queue so the L1 observes the fill
         // at the correct simulated time (keeping its MSHR open until
         // then for coalescing).
-        if (useTypedHotPathEvents) {
-            eventq.scheduleCallback(resolved, std::move(cb));
-        } else {
-            eventq.scheduleFunc(resolved,
-                                [cb = std::move(cb), resolved]() {
-                                    cb(resolved);
-                                });
-        }
+        eventq.scheduleCallback(resolved, std::move(cb));
     } else {
         if (give_up)
             ++linkTimeouts;
@@ -543,14 +536,7 @@ TlcCache::handleDegradedLoad(Addr block_addr, Tick now,
         ++useCounter;
         array.touch(frame, *way, useCounter, false);
         recordBreakdown(bd);
-        if (useTypedHotPathEvents) {
-            eventq.scheduleCallback(resolved, std::move(cb));
-        } else {
-            eventq.scheduleFunc(resolved,
-                                [cb = std::move(cb), resolved]() {
-                                    cb(resolved);
-                                });
-        }
+        eventq.scheduleCallback(resolved, std::move(cb));
     } else {
         handleMiss(block_addr, now, resolved, req, bd, std::move(cb));
     }
@@ -645,20 +631,12 @@ TlcCache::handleWrite(Addr block_addr, Tick now, bool is_fill)
         Addr victim_addr =
             (evicted->blockAddr << __builtin_ctz(cfg.groups())) |
             static_cast<Addr>(group);
-        if (useTypedHotPathEvents) {
-            // [this, victim_addr] fits the std::function small
-            // buffer; the tick arrives as the callback argument.
-            eventq.scheduleCallback(victim_ready,
-                                    [this, victim_addr](Tick t) {
-                                        dram.write(victim_addr, t);
-                                    });
-        } else {
-            eventq.scheduleFunc(victim_ready,
-                                [this, victim_addr, victim_ready]() {
-                                    dram.write(victim_addr,
-                                               victim_ready);
+        // [this, victim_addr] fits the std::function small buffer;
+        // the tick arrives as the callback argument.
+        eventq.scheduleCallback(victim_ready,
+                                [this, victim_addr](Tick t) {
+                                    dram.write(victim_addr, t);
                                 });
-        }
     }
 }
 

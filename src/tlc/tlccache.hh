@@ -61,23 +61,6 @@ class TlcCache : public mem::L2Cache
 
     void beginMeasurement() override;
 
-    /**
-     * TLC always runs serial: transmission-line point-to-point links
-     * and bank ports are reserved synchronously at issue time in
-     * controller context (there is no in-flight window to overlap),
-     * so every structure is order-sensitive domain-0 state.
-     */
-    pdes::PartitionPlan
-    partitionPlan(int domains) const override
-    {
-        pdes::PartitionPlan plan;
-        (void)domains;
-        plan.serialReason =
-            "TLC reserves its transmission lines and bank ports "
-            "synchronously at issue time in controller context";
-        return plan;
-    }
-
     const TlcConfig &config() const { return cfg; }
     const TlcFloorplan &layout() const { return floorplan; }
 

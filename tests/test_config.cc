@@ -168,6 +168,38 @@ TEST(SystemConfig, MemConfigRoundTripsThroughJson)
     EXPECT_EQ(configToJson(loaded), configToJson(config));
 }
 
+TEST(SystemConfig, LegacyDomainsKeyIsIgnored)
+{
+    // Configs written while partitioned execution existed carry a
+    // "domains" key. It loads and is ignored: the machine, its hashes
+    // and its spec key are those of the same JSON without it.
+    for (const SystemConfig &config : {SystemConfig{}, fancyConfig()}) {
+        std::string json = configToJson(config);
+        EXPECT_EQ(json.find("domains"), std::string::npos);
+        std::string anchor = "  \"coreQuantum\"";
+        std::size_t at = json.find(anchor);
+        ASSERT_NE(at, std::string::npos);
+        std::string legacy = json;
+        legacy.insert(at, "  \"domains\": 4,\n");
+
+        SystemConfig plain = loadConfigJson(json);
+        SystemConfig loaded = loadConfigJson(legacy);
+        EXPECT_EQ(loaded, plain);
+        EXPECT_EQ(loaded.machineHash(), plain.machineHash());
+        EXPECT_EQ(loaded.contentHash(), plain.contentHash());
+        EXPECT_EQ(loaded.isDefaultMachine(), plain.isDefaultMachine());
+
+        sweep::RunSpec plain_spec{"gcc", 0, plain};
+        sweep::RunSpec legacy_spec{"gcc", 0, loaded};
+        EXPECT_EQ(sweep::specKey(legacy_spec),
+                  sweep::specKey(plain_spec));
+        EXPECT_EQ(sweep::cacheKey(legacy_spec),
+                  sweep::cacheKey(plain_spec));
+        // Saving drops the key again.
+        EXPECT_EQ(configToJson(loaded), json);
+    }
+}
+
 TEST(SystemConfig, LoadRejectsMalformedInput)
 {
     EXPECT_THROW(loadConfigJson("not json"), FatalError);

@@ -143,6 +143,14 @@ TEST(Watchdog, FiresOnQuiescentQueueWithOutstandingRequests)
     EXPECT_EQ(wd.firings(), 1u);
 }
 
+TEST(Watchdog, QuiescenceWithNothingPendingIsFine)
+{
+    Watchdog wd(1'000);
+    wd.addClient("core0.l1d");
+    wd.onQuiescent(500);
+    EXPECT_EQ(wd.firings(), 0u);
+}
+
 TEST(Watchdog, FiresOnOverAgeRequestOnly)
 {
     Watchdog wd(1'000);

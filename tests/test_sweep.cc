@@ -551,37 +551,6 @@ TEST(Telemetry, SweepWritesMetricsAndManifest)
     EXPECT_EQ(records, specs.size());
 }
 
-TEST(Sweep, TypedEventsByteIdenticalToLambdaEvents)
-{
-    // The allocation-free request path (typed MissEvent / FinishEvent
-    // / TickCallbackEvent) must schedule the exact same (tick,
-    // priority, sequence) stream as the std::function path it
-    // replaced. Flipping the toggle between runs is the supported A/B
-    // check; both sweeps must agree byte for byte.
-    auto specs = table6Specs();
-
-    SweepOptions options;
-    options.jobs = 1;
-    options.captureStats = true;
-    options.verbose = false;
-
-    const bool saved = useTypedHotPathEvents;
-    useTypedHotPathEvents = true;
-    auto typed = runSweep(specs, options);
-    useTypedHotPathEvents = false;
-    auto lambda = runSweep(specs, options);
-    useTypedHotPathEvents = saved;
-
-    ASSERT_EQ(typed.results.size(), lambda.results.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_EQ(resultJson(specs[i], typed.results[i]),
-                  resultJson(specs[i], lambda.results[i]))
-            << specKey(specs[i]);
-        EXPECT_EQ(typed.statsJson[i], lambda.statsJson[i])
-            << specKey(specs[i]);
-    }
-}
-
 namespace
 {
 
