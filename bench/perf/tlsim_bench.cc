@@ -40,17 +40,16 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -64,6 +63,7 @@
 #include "phys/technology.hh"
 #include "repro/experiments.hh"
 #include "sim/eventq.hh"
+#include "sim/json.hh"
 #include "sim/prof/prof.hh"
 #include "workload/profile.hh"
 
@@ -73,6 +73,7 @@ namespace
 using tlsim::Event;
 using tlsim::EventQueue;
 using tlsim::Tick;
+namespace json = tlsim::json;
 
 double
 wallSeconds(std::chrono::steady_clock::time_point start)
@@ -98,206 +99,6 @@ struct Kernel
     std::string metric; // "wall_s" or "..._per_sec"
     double value = 0.0;
     double wallS = 0.0;
-};
-
-/** Minimal JSON reader for --compare / --validate (objects, arrays,
- *  strings, numbers, true/false/null). */
-struct JsonValue
-{
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object
-    } kind = Kind::Null;
-
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    const JsonValue *
-    field(const std::string &key) const
-    {
-        for (const auto &[k, v] : object) {
-            if (k == key)
-                return &v;
-        }
-        return nullptr;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : text(text) {}
-
-    JsonValue
-    parse()
-    {
-        JsonValue v = parseValue();
-        skipSpace();
-        if (pos != text.size())
-            throw std::runtime_error("trailing JSON content");
-        return v;
-    }
-
-  private:
-    void
-    skipSpace()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-    }
-
-    char
-    peek()
-    {
-        skipSpace();
-        if (pos >= text.size())
-            throw std::runtime_error("unexpected end of JSON");
-        return text[pos];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            throw std::runtime_error(std::string("expected '") + c +
-                                     "'");
-        ++pos;
-    }
-
-    JsonValue
-    parseValue()
-    {
-        switch (peek()) {
-        case '{': return parseObject();
-        case '[': return parseArray();
-        case '"': {
-            JsonValue v;
-            v.kind = JsonValue::Kind::String;
-            v.string = parseString();
-            return v;
-        }
-        case 't':
-        case 'f': return parseBool();
-        case 'n':
-            if (text.compare(pos, 4, "null") != 0)
-                throw std::runtime_error("bad JSON literal");
-            pos += 4;
-            return JsonValue{};
-        default: return parseNumber();
-        }
-    }
-
-    JsonValue
-    parseObject()
-    {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Object;
-        expect('{');
-        if (peek() == '}') {
-            ++pos;
-            return v;
-        }
-        while (true) {
-            std::string key = parseString();
-            expect(':');
-            v.object.emplace_back(std::move(key), parseValue());
-            if (peek() == ',') {
-                ++pos;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    JsonValue
-    parseArray()
-    {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Array;
-        expect('[');
-        if (peek() == ']') {
-            ++pos;
-            return v;
-        }
-        while (true) {
-            v.array.push_back(parseValue());
-            if (peek() == ',') {
-                ++pos;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos < text.size() && text[pos] != '"') {
-            char c = text[pos++];
-            if (c == '\\' && pos < text.size()) {
-                char esc = text[pos++];
-                switch (esc) {
-                case 'n': out += '\n'; break;
-                case 't': out += '\t'; break;
-                default: out += esc; break;
-                }
-            } else {
-                out += c;
-            }
-        }
-        if (pos >= text.size())
-            throw std::runtime_error("unterminated JSON string");
-        ++pos;
-        return out;
-    }
-
-    JsonValue
-    parseBool()
-    {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Bool;
-        if (text.compare(pos, 4, "true") == 0) {
-            v.boolean = true;
-            pos += 4;
-        } else if (text.compare(pos, 5, "false") == 0) {
-            pos += 5;
-        } else {
-            throw std::runtime_error("bad JSON literal");
-        }
-        return v;
-    }
-
-    JsonValue
-    parseNumber()
-    {
-        skipSpace();
-        std::size_t end = pos;
-        while (end < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[end])) ||
-                std::strchr("+-.eE", text[end])))
-            ++end;
-        JsonValue v;
-        v.kind = JsonValue::Kind::Number;
-        v.number = std::stod(text.substr(pos, end - pos));
-        pos = end;
-        return v;
-    }
-
-    const std::string &text;
-    std::size_t pos = 0;
 };
 
 // ---------------------------------------------------------------- //
@@ -696,45 +497,46 @@ writeJson(const std::string &path, const std::vector<Kernel> &kernels,
     out << os.str();
 }
 
+/** Member @p key as a number (always finite), or nullopt. */
+std::optional<double>
+numberAt(const json::Value &obj, std::string_view key)
+{
+    const json::Value *v = obj.find(key);
+    return v ? v->asDouble() : std::nullopt;
+}
+
 /** Throws with a message on any schema violation. */
 void
-validateBenchJson(const JsonValue &root)
+validateBenchJson(const json::Value &root)
 {
-    const JsonValue *schema = root.field("schema");
-    if (!schema || schema->kind != JsonValue::Kind::String ||
-        schema->string != "tlsim-bench-v1")
+    const std::string *schema = root.findString("schema");
+    if (!schema || *schema != "tlsim-bench-v1")
         throw std::runtime_error("schema field must be tlsim-bench-v1");
-    const JsonValue *kernels = root.field("kernels");
-    if (!kernels || kernels->kind != JsonValue::Kind::Array ||
-        kernels->array.empty())
+    const json::Value *kernels = root.find("kernels");
+    if (!kernels || !kernels->isArray() || kernels->items.empty())
         throw std::runtime_error("kernels must be a non-empty array");
-    for (const JsonValue &k : kernels->array) {
-        const JsonValue *name = k.field("name");
-        const JsonValue *metric = k.field("metric");
-        const JsonValue *value = k.field("value");
-        const JsonValue *wall = k.field("wall_s");
-        if (!name || name->kind != JsonValue::Kind::String ||
-            name->string.empty())
+    for (const json::Value &k : kernels->items) {
+        const std::string *name = k.findString("name");
+        const std::string *metric = k.findString("metric");
+        if (!name || name->empty())
             throw std::runtime_error("kernel missing name");
-        if (!metric || metric->kind != JsonValue::Kind::String ||
-            metric->string.empty())
+        if (!metric || metric->empty())
             throw std::runtime_error("kernel missing metric");
-        if (!value || value->kind != JsonValue::Kind::Number ||
-            !std::isfinite(value->number) || value->number <= 0.0)
+        std::optional<double> value = numberAt(k, "value");
+        if (!value || *value <= 0.0)
             throw std::runtime_error(
                 "kernel value must be a positive finite number");
-        if (!wall || wall->kind != JsonValue::Kind::Number ||
-            !std::isfinite(wall->number) || wall->number < 0.0)
+        std::optional<double> wall = numberAt(k, "wall_s");
+        if (!wall || *wall < 0.0)
             throw std::runtime_error(
                 "kernel wall_s must be a finite number");
     }
-    const JsonValue *rss = root.field("peak_rss_bytes");
-    if (!rss || rss->kind != JsonValue::Kind::Number ||
-        rss->number <= 0.0)
+    std::optional<double> rss = numberAt(root, "peak_rss_bytes");
+    if (!rss || *rss <= 0.0)
         throw std::runtime_error("peak_rss_bytes must be positive");
 }
 
-JsonValue
+json::Value
 loadJsonFile(const std::string &path)
 {
     std::ifstream in(path);
@@ -742,24 +544,26 @@ loadJsonFile(const std::string &path)
         throw std::runtime_error("cannot read " + path);
     std::stringstream buffer;
     buffer << in.rdbuf();
-    std::string text = buffer.str();
-    JsonParser parser(text);
-    return parser.parse();
+    std::string error;
+    std::optional<json::Value> doc = json::parse(buffer.str(), &error);
+    if (!doc)
+        throw std::runtime_error("JSON parse error at " + error);
+    return std::move(*doc);
 }
 
 std::map<std::string, double>
 compareToBaseline(const std::vector<Kernel> &kernels,
                   const std::string &baseline_path)
 {
-    JsonValue base = loadJsonFile(baseline_path);
+    json::Value base = loadJsonFile(baseline_path);
     validateBenchJson(base);
 
     std::map<std::string, double> speedups;
     std::cout << "\ncomparison vs " << baseline_path << ":\n";
     for (const Kernel &k : kernels) {
-        const JsonValue *match = nullptr;
-        for (const JsonValue &b : base.field("kernels")->array) {
-            if (b.field("name")->string == k.name) {
+        const json::Value *match = nullptr;
+        for (const json::Value &b : base.find("kernels")->items) {
+            if (*b.findString("name") == k.name) {
                 match = &b;
                 break;
             }
@@ -768,7 +572,7 @@ compareToBaseline(const std::vector<Kernel> &kernels,
             std::cout << "  " << k.name << ": no baseline entry\n";
             continue;
         }
-        double base_value = match->field("value")->number;
+        double base_value = *numberAt(*match, "value");
         // wall_s and ratios shrink when better; rates grow.
         bool smaller_is_better = k.metric == "wall_s" ||
                                  k.metric == "on_off_ratio";

@@ -21,6 +21,7 @@
 #include "harness/sweep/sweep.hh"
 #include "harness/tracerun.hh"
 #include "repro/experiments.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/metrics/heatmap.hh"
 #include "sim/prof/prof.hh"
@@ -401,23 +402,14 @@ resolveCacheDir(const CliOptions &opts)
     return "tlsim_result_cache";
 }
 
-void
-jsonEscape(std::ostream &os, const std::string &text)
-{
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-}
-
 /** Emit a RunResult as a JSON object (trace-mode stats schema). */
 void
 runResultJson(std::ostream &os, const harness::RunResult &result,
               const char *indent)
 {
     os << "{\n"
-       << indent << "  \"design\": \"" << result.design << "\",\n"
+       << indent << "  \"design\": \"" << json::escape(result.design)
+       << "\",\n"
        << indent << "  \"cycles\": " << result.cycles << ",\n"
        << indent << "  \"instructions\": " << result.instructions
        << ",\n"
@@ -546,9 +538,8 @@ runTraceMode(const CliOptions &opts)
             fatal("cannot open stats JSON file '{}'", opts.statsJson);
         out << std::setprecision(12);
         out << "{\n\"schema\": \"tlsim-tracerun-v1\",\n";
-        out << "\"trace\": {\"file\": \"";
-        jsonEscape(out, trace.name());
-        out << "\", \"records\": " << trace.recordCount()
+        out << "\"trace\": {\"file\": \"" << json::escape(trace.name())
+            << "\", \"records\": " << trace.recordCount()
             << ", \"instructions\": " << trace.instructionCount()
             << ", \"content_hash\": \"" << std::hex
             << trace.contentHash() << std::dec << "\"},\n";
@@ -583,9 +574,9 @@ runTraceMode(const CliOptions &opts)
             out << "\"aggregate\": ";
             runResultJson(out, sampled.aggregate, "");
             out << ",\n";
-            out << "\"checkpoint\": {\"dir\": \"";
-            jsonEscape(out, trun.checkpointDir);
-            out << "\", \"hits\": " << sampled.checkpointHits
+            out << "\"checkpoint\": {\"dir\": \""
+                << json::escape(trun.checkpointDir)
+                << "\", \"hits\": " << sampled.checkpointHits
                 << ", \"stores\": " << sampled.checkpointStores
                 << "},\n";
             out << "\"timed_instructions\": "
@@ -606,9 +597,8 @@ runTraceMode(const CliOptions &opts)
                 << ",\n\"l2_misses_per_1k_rel_error\": " << miss_err
                 << ",\n";
         }
-        out << "\"benchmark\": \"";
-        jsonEscape(out, trun.benchmarkLabel);
-        out << "\"\n}\n";
+        out << "\"benchmark\": \"" << json::escape(trun.benchmarkLabel)
+            << "\"\n}\n";
         if (!opts.quiet)
             inform("stats JSON written: {}", opts.statsJson);
     }

@@ -1,12 +1,13 @@
 #include "harness/config.hh"
 
-#include <cctype>
 #include <charconv>
 #include <fstream>
-#include <map>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace tlsim
@@ -30,252 +31,101 @@ formatDouble(double value)
     return std::string(buf, ptr);
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON reader, just enough for the SystemConfig schema:
-// nested objects, strings, numbers, booleans. Errors are fatal (the
-// config came from a user-supplied file).
-// ---------------------------------------------------------------------
-
-struct JsonValue
+const json::Value &
+requireField(const json::Value &obj, const std::string &name)
 {
-    enum class Kind
-    {
-        Object,
-        String,
-        Number,
-        Bool,
-    };
-
-    Kind kind = Kind::Number;
-    std::map<std::string, JsonValue> object;
-    std::string str;
-    double number = 0.0;
-    bool boolean = false;
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text)
-        : text(text)
-    {}
-
-    JsonValue
-    parse()
-    {
-        JsonValue v = parseValue();
-        skipSpace();
-        if (pos != text.size())
-            fail("trailing characters after JSON document");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &why)
-    {
-        fatal("config JSON parse error at offset {}: {}", pos, why);
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-    }
-
-    char
-    peek()
-    {
-        skipSpace();
-        if (pos >= text.size())
-            fail("unexpected end of input");
-        return text[pos];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos;
-    }
-
-    JsonValue
-    parseValue()
-    {
-        char c = peek();
-        if (c == '{')
-            return parseObject();
-        if (c == '"')
-            return parseString();
-        if (c == 't' || c == 'f')
-            return parseBool();
-        return parseNumber();
-    }
-
-    JsonValue
-    parseObject()
-    {
-        expect('{');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Object;
-        if (peek() == '}') {
-            ++pos;
-            return v;
-        }
-        while (true) {
-            JsonValue key = parseString();
-            expect(':');
-            v.object.emplace(key.str, parseValue());
-            char c = peek();
-            if (c == ',') {
-                ++pos;
-                continue;
-            }
-            if (c == '}') {
-                ++pos;
-                return v;
-            }
-            fail("expected ',' or '}' in object");
-        }
-    }
-
-    JsonValue
-    parseString()
-    {
-        expect('"');
-        JsonValue v;
-        v.kind = JsonValue::Kind::String;
-        while (pos < text.size() && text[pos] != '"') {
-            char c = text[pos++];
-            if (c == '\\') {
-                if (pos >= text.size())
-                    fail("truncated escape");
-                char e = text[pos++];
-                switch (e) {
-                  case '"': c = '"'; break;
-                  case '\\': c = '\\'; break;
-                  case '/': c = '/'; break;
-                  case 'n': c = '\n'; break;
-                  case 't': c = '\t'; break;
-                  default: fail("unsupported escape");
-                }
-            }
-            v.str.push_back(c);
-        }
-        if (pos >= text.size())
-            fail("unterminated string");
-        ++pos; // closing quote
-        return v;
-    }
-
-    JsonValue
-    parseBool()
-    {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Bool;
-        if (text.compare(pos, 4, "true") == 0) {
-            v.boolean = true;
-            pos += 4;
-        } else if (text.compare(pos, 5, "false") == 0) {
-            v.boolean = false;
-            pos += 5;
-        } else {
-            fail("expected boolean");
-        }
-        return v;
-    }
-
-    JsonValue
-    parseNumber()
-    {
-        skipSpace();
-        std::size_t start = pos;
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '-' || text[pos] == '+' ||
-                text[pos] == '.' || text[pos] == 'e' ||
-                text[pos] == 'E'))
-            ++pos;
-        if (pos == start)
-            fail("expected number");
-        JsonValue v;
-        v.kind = JsonValue::Kind::Number;
-        const char *first = text.data() + start;
-        const char *last = text.data() + pos;
-        auto [ptr, ec] = std::from_chars(first, last, v.number);
-        if (ec != std::errc() || ptr != last)
-            fail("malformed number");
-        return v;
-    }
-
-    const std::string &text;
-    std::size_t pos = 0;
-};
-
-const JsonValue &
-requireField(const JsonValue &obj, const std::string &name)
-{
-    auto it = obj.object.find(name);
-    if (it == obj.object.end())
+    const json::Value *v = obj.find(name);
+    if (!v)
         fatal("config JSON missing field '{}'", name);
-    return it->second;
+    return *v;
+}
+
+const json::Value &
+numberValue(const json::Value &obj, const std::string &name)
+{
+    const json::Value &v = requireField(obj, name);
+    if (!v.isNumber())
+        fatal("config field '{}' must be a number", name);
+    return v;
 }
 
 double
-numberField(const JsonValue &obj, const std::string &name)
+numberField(const json::Value &obj, const std::string &name)
 {
-    const JsonValue &v = requireField(obj, name);
-    if (v.kind != JsonValue::Kind::Number)
-        fatal("config field '{}' must be a number", name);
-    return v.number;
+    const json::Value &v = numberValue(obj, name);
+    std::optional<double> d = v.asDouble();
+    if (!d)
+        fatal("config field '{}' is out of range (got {})", name,
+              v.text);
+    return *d;
 }
 
 std::uint64_t
-u64Field(const JsonValue &obj, const std::string &name)
+u64Field(const json::Value &obj, const std::string &name)
 {
-    return static_cast<std::uint64_t>(numberField(obj, name));
+    const json::Value &v = numberValue(obj, name);
+    std::optional<std::uint64_t> n = v.asU64();
+    if (!n)
+        fatal("config field '{}' must be an unsigned 64-bit integer "
+              "(got {})",
+              name, v.text);
+    return *n;
 }
 
 int
-intField(const JsonValue &obj, const std::string &name)
+intField(const json::Value &obj, const std::string &name)
 {
-    return static_cast<int>(numberField(obj, name));
+    const json::Value &v = numberValue(obj, name);
+    std::optional<std::int64_t> n = v.asI64();
+    if (!n || *n < std::numeric_limits<int>::min() ||
+        *n > std::numeric_limits<int>::max())
+        fatal("config field '{}' must be an int (got {})", name,
+              v.text);
+    return static_cast<int>(*n);
 }
 
 std::string
-stringField(const JsonValue &obj, const std::string &name)
+stringField(const json::Value &obj, const std::string &name)
 {
-    const JsonValue &v = requireField(obj, name);
-    if (v.kind != JsonValue::Kind::String)
+    const json::Value &v = requireField(obj, name);
+    if (!v.isString())
         fatal("config field '{}' must be a string", name);
-    return v.str;
+    return v.text;
 }
 
-const JsonValue &
-objectField(const JsonValue &obj, const std::string &name)
+const json::Value &
+objectField(const json::Value &obj, const std::string &name)
 {
-    const JsonValue &v = requireField(obj, name);
-    if (v.kind != JsonValue::Kind::Object)
+    const json::Value &v = requireField(obj, name);
+    if (!v.isObject())
         fatal("config field '{}' must be an object", name);
     return v;
 }
 
 bool
-boolField(const JsonValue &obj, const std::string &name)
+boolField(const json::Value &obj, const std::string &name)
 {
-    const JsonValue &v = requireField(obj, name);
-    if (v.kind != JsonValue::Kind::Bool)
+    const json::Value &v = requireField(obj, name);
+    if (!v.isBool())
         fatal("config field '{}' must be a boolean", name);
     return v.boolean;
 }
 
-L1Config
-readL1(const JsonValue &obj, const std::string &name)
+/** Every member of object field @p name as a numeric option. */
+conf::OptionMap
+optionsField(const json::Value &obj, const std::string &name)
 {
-    const JsonValue &v = objectField(obj, name);
+    const json::Value &options = objectField(obj, name);
+    conf::OptionMap out;
+    for (const auto &member : options.members)
+        out[member.first] = numberField(options, member.first);
+    return out;
+}
+
+L1Config
+readL1(const json::Value &obj, const std::string &name)
+{
+    const json::Value &v = objectField(obj, name);
     L1Config l1;
     l1.bytes = u64Field(v, "bytes");
     l1.ways = intField(v, "ways");
@@ -444,9 +294,12 @@ configToJson(const SystemConfig &config)
 SystemConfig
 loadConfigJson(const std::string &text)
 {
-    JsonParser parser(text);
-    JsonValue root = parser.parse();
-    if (root.kind != JsonValue::Kind::Object)
+    std::string error;
+    std::optional<json::Value> parsed = json::parse(text, &error);
+    if (!parsed)
+        fatal("config JSON parse error at {}", error);
+    const json::Value &root = *parsed;
+    if (!root.isObject())
         fatal("config JSON must be an object");
     std::string schema = stringField(root, "schema");
     if (schema != configSchema) {
@@ -459,7 +312,7 @@ loadConfigJson(const std::string &text)
     config.design = stringField(root, "design");
     config.technologyNm = intField(root, "technologyNm");
 
-    const JsonValue &core = objectField(root, "core");
+    const json::Value &core = objectField(root, "core");
     config.core.robEntries = intField(core, "robEntries");
     config.core.width = intField(core, "width");
     config.core.opLatency = u64Field(core, "opLatency");
@@ -468,28 +321,14 @@ loadConfigJson(const std::string &text)
 
     config.l1i = readL1(root, "l1i");
     config.l1d = readL1(root, "l1d");
-
-    const JsonValue &options = objectField(root, "l2Options");
-    for (const auto &[key, value] : options.object) {
-        if (value.kind != JsonValue::Kind::Number)
-            fatal("l2Options entry '{}' must be a number", key);
-        config.l2Options[key] = value.number;
-    }
+    config.l2Options = optionsField(root, "l2Options");
 
     // Optional so configs written before the memory-backend registry
     // load (they get the default "fixed" backend).
-    auto mem_it = root.object.find("mem");
-    if (mem_it != root.object.end()) {
-        const JsonValue &m = mem_it->second;
-        if (m.kind != JsonValue::Kind::Object)
-            fatal("config field 'mem' must be an object");
+    if (root.find("mem")) {
+        const json::Value &m = objectField(root, "mem");
         config.mem.backend = stringField(m, "backend");
-        const JsonValue &mem_options = objectField(m, "options");
-        for (const auto &[key, value] : mem_options.object) {
-            if (value.kind != JsonValue::Kind::Number)
-                fatal("mem option '{}' must be a number", key);
-            config.mem.options[key] = value.number;
-        }
+        config.mem.options = optionsField(m, "options");
     }
 
     config.functionalWarm = u64Field(root, "functionalWarm");
@@ -498,18 +337,15 @@ loadConfigJson(const std::string &text)
     config.coreQuantum = u64Field(root, "coreQuantum");
 
     // Optional so configs written before the fault subsystem load.
-    auto fault_it = root.object.find("fault");
-    if (fault_it != root.object.end()) {
-        const JsonValue &f = fault_it->second;
-        if (f.kind != JsonValue::Kind::Object)
-            fatal("config field 'fault' must be an object");
+    if (root.find("fault")) {
+        const json::Value &f = objectField(root, "fault");
         config.fault.enabled = boolField(f, "enabled");
         config.fault.bitErrorRate = numberField(f, "bitErrorRate");
         config.fault.deriveFromMargin = boolField(f, "deriveFromMargin");
         config.fault.deadLinks = stringField(f, "deadLinks");
         config.fault.stuckBanks = stringField(f, "stuckBanks");
         // Optional so fault configs predating the DRAM schedule load.
-        if (f.object.count("dramStuckBanks"))
+        if (f.find("dramStuckBanks"))
             config.fault.dramStuckBanks =
                 stringField(f, "dramStuckBanks");
         config.fault.maxRetries = intField(f, "maxRetries");

@@ -3,8 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <map>
@@ -12,6 +10,7 @@
 
 #include "harness/config.hh"
 #include "harness/sweep/resultcache.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace tlsim
@@ -32,84 +31,6 @@ hex16(std::uint64_t value)
     std::ostringstream os;
     os << std::hex << std::setw(16) << std::setfill('0') << value;
     return os.str();
-}
-
-/**
- * Scan one flat JSON object line into key -> decoded value. Unlike
- * the result-cache scanner this one fully unescapes string values,
- * so embedded documents (result/stats blobs) survive the round trip.
- */
-bool
-scanJournalLine(const std::string &text,
-                std::map<std::string, std::string> &out)
-{
-    std::size_t i = 0;
-    auto skipWs = [&] {
-        while (i < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[i])))
-            ++i;
-    };
-    auto parseString = [&](std::string &s) {
-        if (i >= text.size() || text[i] != '"')
-            return false;
-        std::size_t start = i + 1;
-        ++i;
-        while (i < text.size() && text[i] != '"') {
-            if (text[i] == '\\')
-                ++i; // skip the escaped character
-            ++i;
-        }
-        if (i >= text.size())
-            return false;
-        s = unescapeJson(text.substr(start, i - start));
-        ++i; // closing quote
-        return true;
-    };
-
-    skipWs();
-    if (i >= text.size() || text[i] != '{')
-        return false;
-    ++i;
-    skipWs();
-    if (i < text.size() && text[i] == '}')
-        return true;
-    while (true) {
-        skipWs();
-        std::string key;
-        if (!parseString(key))
-            return false;
-        skipWs();
-        if (i >= text.size() || text[i] != ':')
-            return false;
-        ++i;
-        skipWs();
-        std::string value;
-        if (i < text.size() && text[i] == '"') {
-            if (!parseString(value))
-                return false;
-        } else {
-            std::size_t start = i;
-            while (i < text.size() && text[i] != ',' &&
-                   text[i] != '}')
-                ++i;
-            value = text.substr(start, i - start);
-            while (!value.empty() &&
-                   std::isspace(
-                       static_cast<unsigned char>(value.back())))
-                value.pop_back();
-            if (value.empty())
-                return false;
-        }
-        out[key] = value;
-        skipWs();
-        if (i >= text.size())
-            return false;
-        if (text[i] == '}')
-            return true;
-        if (text[i] != ',')
-            return false;
-        ++i;
-    }
 }
 
 } // namespace
@@ -161,79 +82,6 @@ DurableLineFile::close()
     }
 }
 
-std::string
-escapeJson(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-unescapeJson(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (std::size_t i = 0; i < text.size(); ++i) {
-        if (text[i] != '\\' || i + 1 >= text.size()) {
-            out += text[i];
-            continue;
-        }
-        ++i;
-        switch (text[i]) {
-          case 'n':
-            out += '\n';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'u':
-            if (i + 4 < text.size()) {
-                unsigned code = 0;
-                std::sscanf(text.c_str() + i + 1, "%4x", &code);
-                out += static_cast<char>(code & 0xff);
-                i += 4;
-            }
-            break;
-          default:
-            out += text[i]; // covers \" \\ \/
-        }
-    }
-    return out;
-}
-
 Identity
 identityOf(const std::vector<RunSpec> &specs)
 {
@@ -278,7 +126,7 @@ Writer::started(const std::string &spec_key)
     std::ostringstream os;
     os << "{\"schema\": \"" << schemaName
        << "\", \"event\": \"started\", \"spec\": \""
-       << escapeJson(spec_key) << "\"}";
+       << json::escape(spec_key) << "\"}";
     file.writeLine(os.str());
 }
 
@@ -290,10 +138,10 @@ Writer::done(const std::string &spec_key, const char *outcome,
     std::ostringstream os;
     os << "{\"schema\": \"" << schemaName
        << "\", \"event\": \"done\", \"spec\": \""
-       << escapeJson(spec_key) << "\", \"outcome\": \"" << outcome
-       << "\", \"result\": \"" << escapeJson(result_json) << "\"";
+       << json::escape(spec_key) << "\", \"outcome\": \"" << outcome
+       << "\", \"result\": \"" << json::escape(result_json) << "\"";
     if (!stats_json.empty())
-        os << ", \"stats\": \"" << escapeJson(stats_json) << "\"";
+        os << ", \"stats\": \"" << json::escape(stats_json) << "\"";
     os << "}";
     file.writeLine(os.str());
 }
@@ -305,8 +153,8 @@ Writer::failed(const std::string &spec_key, const std::string &error,
     std::ostringstream os;
     os << "{\"schema\": \"" << schemaName << "\", \"event\": \""
        << (crashed ? "crashed" : "failed") << "\", \"spec\": \""
-       << escapeJson(spec_key) << "\", \"error\": \""
-       << escapeJson(error) << "\"}";
+       << json::escape(spec_key) << "\", \"error\": \""
+       << json::escape(error) << "\"}";
     file.writeLine(os.str());
 }
 
@@ -372,8 +220,8 @@ loadForResume(const std::string &path,
         ++lineno;
         if (line.empty())
             continue;
-        std::map<std::string, std::string> rec;
-        if (!scanJournalLine(line, rec)) {
+        std::optional<json::Value> rec = json::parse(line);
+        if (!rec || !rec->isObject()) {
             // A torn trailing line is the expected signature of a
             // crash mid-write; a torn interior line is corruption.
             if (in.peek() == EOF) {
@@ -385,12 +233,8 @@ loadForResume(const std::string &path,
                 csprintf("corrupt journal line {}", lineno);
             return state;
         }
-        auto get = [&](const char *key) -> const std::string * {
-            auto it = rec.find(key);
-            return it == rec.end() ? nullptr : &it->second;
-        };
-        const std::string *schema = get("schema");
-        const std::string *event = get("event");
+        const std::string *schema = rec->findString("schema");
+        const std::string *event = rec->findString("event");
         if (!schema || *schema != schemaName || !event) {
             state.error = csprintf(
                 "line {} is not a {} record", lineno, schemaName);
@@ -398,9 +242,9 @@ loadForResume(const std::string &path,
         }
 
         if (*event == "header") {
-            const std::string *model = get("model");
-            const std::string *specset = get("specset");
-            const std::string *machines = get("machines");
+            const std::string *model = rec->findString("model");
+            const std::string *specset = rec->findString("specset");
+            const std::string *machines = rec->findString("machines");
             if (!model || !specset || !machines) {
                 state.error = "header missing identity fields";
                 return state;
@@ -427,7 +271,7 @@ loadForResume(const std::string &path,
             return state;
         }
 
-        const std::string *spec = get("spec");
+        const std::string *spec = rec->findString("spec");
         std::size_t slot = specs.size();
         if (spec) {
             auto it = index.find(*spec);
@@ -440,8 +284,8 @@ loadForResume(const std::string &path,
             if (!state.runs[slot])
                 inFlight[slot] = true;
         } else if (*event == "done" && spec) {
-            const std::string *result = get("result");
-            const std::string *outcome = get("outcome");
+            const std::string *result = rec->findString("result");
+            const std::string *outcome = rec->findString("outcome");
             if (!result)
                 continue;
             auto parsed = readResultJson(*result, specs[slot]);
@@ -453,7 +297,7 @@ loadForResume(const std::string &path,
             }
             RestoredRun run;
             run.result = std::move(*parsed);
-            if (const std::string *stats = get("stats"))
+            if (const std::string *stats = rec->findString("stats"))
                 run.stats = *stats;
             run.outcome = outcome ? *outcome : "executed";
             state.runs[slot] = std::move(run);

@@ -73,16 +73,6 @@ class DurableLineFile
 };
 
 /**
- * JSON string escape covering every control character (",\ and
- * \n\r\t as their short escapes, other bytes < 0x20 as \u00XX), so
- * multi-line documents embed safely in a single JSONL line.
- */
-std::string escapeJson(const std::string &text);
-
-/** Inverse of escapeJson (also accepts \/ and \u00XX). */
-std::string unescapeJson(const std::string &text);
-
-/**
  * Identity of a sweep: what --resume revalidates before trusting a
  * journal. All three components must match.
  */

@@ -4,19 +4,16 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <vector>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
-#include "sim/trace/tracesink.hh"
 
 namespace tlsim
 {
@@ -85,79 +82,82 @@ constexpr U64Field optionalU64Fields[] = {
     {"faultSamples", &RunResult::faultSamples},
 };
 
-/**
- * Scan one flat JSON object ({"key": "string"|number, ...}) into raw
- * key -> token text. Tolerant of whitespace, intolerant of nesting —
- * exactly what writeResultJson emits.
- */
-bool
-scanFlatObject(const std::string &text,
-               std::map<std::string, std::string> &out)
+/** A cache entry's identity plus the result it stores. */
+struct Entry
 {
-    std::size_t i = 0;
-    auto skipWs = [&] {
-        while (i < text.size() && std::isspace(
-                   static_cast<unsigned char>(text[i])))
-            ++i;
-    };
-    auto parseString = [&](std::string &s) {
-        if (i >= text.size() || text[i] != '"')
-            return false;
-        ++i;
-        s.clear();
-        while (i < text.size() && text[i] != '"') {
-            if (text[i] == '\\' && i + 1 < text.size())
-                ++i;
-            s += text[i++];
-        }
-        if (i >= text.size())
-            return false;
-        ++i; // closing quote
-        return true;
-    };
+    std::string spec;
+    std::string model;
+    RunResult result;
+};
 
-    skipWs();
-    if (i >= text.size() || text[i] != '{')
-        return false;
-    ++i;
-    skipWs();
-    if (i < text.size() && text[i] == '}')
-        return true;
-    while (true) {
-        skipWs();
-        std::string key;
-        if (!parseString(key))
-            return false;
-        skipWs();
-        if (i >= text.size() || text[i] != ':')
-            return false;
-        ++i;
-        skipWs();
-        std::string value;
-        if (i < text.size() && text[i] == '"') {
-            if (!parseString(value))
-                return false;
-        } else {
-            std::size_t start = i;
-            while (i < text.size() && text[i] != ',' && text[i] != '}')
-                ++i;
-            value = text.substr(start, i - start);
-            while (!value.empty() && std::isspace(static_cast<
-                       unsigned char>(value.back())))
-                value.pop_back();
-            if (value.empty())
-                return false;
-        }
-        out[key] = value;
-        skipWs();
-        if (i >= text.size())
-            return false;
-        if (text[i] == '}')
-            return true;
-        if (text[i] != ',')
-            return false;
-        ++i;
+/**
+ * Decode one entry written by writeResultJson. Every field must have
+ * its written type, and every number must convert exactly; on failure
+ * @p why names the first problem.
+ */
+std::optional<Entry>
+decodeEntry(const std::string &text, std::string &why)
+{
+    std::string error;
+    std::optional<json::Value> doc = json::parse(text, &error);
+    if (!doc || !doc->isObject()) {
+        why = "unparseable JSON" +
+              (error.empty() ? "" : " (" + error + ")");
+        return std::nullopt;
     }
+    const std::string *schema = doc->findString("schema");
+    if (!schema || *schema != "tlsim-runresult-v1") {
+        why = "missing or unknown schema";
+        return std::nullopt;
+    }
+    const std::string *spec = doc->findString("spec");
+    const std::string *model = doc->findString("model");
+    if (!spec || !model) {
+        why = "missing spec/model identity";
+        return std::nullopt;
+    }
+    const std::string *design = doc->findString("design");
+    const std::string *benchmark = doc->findString("benchmark");
+    if (!design || !benchmark) {
+        why = "missing design/benchmark";
+        return std::nullopt;
+    }
+    Entry entry{*spec, *model, RunResult{}};
+    entry.result.design = *design;
+    entry.result.benchmark = *benchmark;
+
+    // Optional fields default when absent but, like required ones,
+    // must convert exactly when present.
+    auto decode = [&](const char *name, bool required, auto as,
+                      auto &out) {
+        const json::Value *v = doc->find(name);
+        if (!v) {
+            if (required)
+                why = csprintf("missing result field '{}'", name);
+            return !required;
+        }
+        auto n = (v->*as)();
+        if (!n) {
+            why = csprintf("malformed result field '{}'", name);
+            return false;
+        }
+        out = *n;
+        return true;
+    };
+    RunResult &r = entry.result;
+    for (const auto &f : u64Fields)
+        if (!decode(f.name, true, &json::Value::asU64, r.*f.ptr))
+            return std::nullopt;
+    for (const auto &f : doubleFields)
+        if (!decode(f.name, true, &json::Value::asDouble, r.*f.ptr))
+            return std::nullopt;
+    for (const auto &f : optionalU64Fields)
+        if (!decode(f.name, false, &json::Value::asU64, r.*f.ptr))
+            return std::nullopt;
+    for (const auto &f : optionalDoubleFields)
+        if (!decode(f.name, false, &json::Value::asDouble, r.*f.ptr))
+            return std::nullopt;
+    return entry;
 }
 
 } // namespace
@@ -167,7 +167,7 @@ writeResultJson(std::ostream &os, const RunSpec &spec,
                 const RunResult &result)
 {
     auto str = [&](const char *key, const std::string &value) {
-        os << "  \"" << key << "\": \"" << trace::jsonEscape(value)
+        os << "  \"" << key << "\": \"" << json::escape(value)
            << "\",\n";
     };
     os << "{\n";
@@ -200,51 +200,12 @@ writeResultJson(std::ostream &os, const RunSpec &spec,
 std::optional<RunResult>
 readResultJson(const std::string &text, const RunSpec &spec)
 {
-    std::map<std::string, std::string> raw;
-    if (!scanFlatObject(text, raw))
+    std::string why;
+    std::optional<Entry> entry = decodeEntry(text, why);
+    if (!entry || entry->spec != specKey(spec) ||
+        entry->model != modelVersionSalt)
         return std::nullopt;
-    auto get = [&](const char *key) -> const std::string * {
-        auto it = raw.find(key);
-        return it == raw.end() ? nullptr : &it->second;
-    };
-    const std::string *schema = get("schema");
-    const std::string *stored_spec = get("spec");
-    const std::string *model = get("model");
-    if (!schema || *schema != "tlsim-runresult-v1" || !stored_spec ||
-        *stored_spec != specKey(spec) || !model ||
-        *model != modelVersionSalt) {
-        return std::nullopt;
-    }
-
-    RunResult result;
-    const std::string *design = get("design");
-    const std::string *benchmark = get("benchmark");
-    if (!design || !benchmark)
-        return std::nullopt;
-    result.design = *design;
-    result.benchmark = *benchmark;
-    for (const auto &field : u64Fields) {
-        const std::string *value = get(field.name);
-        if (!value)
-            return std::nullopt;
-        result.*field.ptr = std::strtoull(value->c_str(), nullptr, 10);
-    }
-    for (const auto &field : doubleFields) {
-        const std::string *value = get(field.name);
-        if (!value)
-            return std::nullopt;
-        result.*field.ptr = std::strtod(value->c_str(), nullptr);
-    }
-    for (const auto &field : optionalU64Fields) {
-        if (const std::string *value = get(field.name))
-            result.*field.ptr =
-                std::strtoull(value->c_str(), nullptr, 10);
-    }
-    for (const auto &field : optionalDoubleFields) {
-        if (const std::string *value = get(field.name))
-            result.*field.ptr = std::strtod(value->c_str(), nullptr);
-    }
-    return result;
+    return std::move(entry->result);
 }
 
 ResultCache::ResultCache(std::string dir) : _dir(std::move(dir))
@@ -385,53 +346,21 @@ fsckCache(const std::string &dir)
         std::ostringstream text;
         text << in.rdbuf();
 
-        std::map<std::string, std::string> raw;
-        if (!scanFlatObject(text.str(), raw)) {
-            quarantine(path, "unparseable JSON");
-            continue;
-        }
-        auto get = [&](const char *key) -> const std::string * {
-            auto it = raw.find(key);
-            return it == raw.end() ? nullptr : &it->second;
-        };
-        const std::string *schema = get("schema");
-        const std::string *spec = get("spec");
-        const std::string *model = get("model");
-        if (!schema || *schema != "tlsim-runresult-v1") {
-            quarantine(path, "missing or unknown schema");
-            continue;
-        }
-        if (!spec || !model) {
-            quarantine(path, "missing spec/model identity");
+        std::string why;
+        std::optional<Entry> entry = decodeEntry(text.str(), why);
+        if (!entry) {
+            quarantine(path, why);
             continue;
         }
         // The file name must be the content address of the entry's
         // own identity (its declared spec + salt, not the current
         // salt: old-model entries are stale-but-healthy, a mismatch
         // means the content does not belong to this slot).
-        std::string want = cacheKeyForSpecKey(*spec, *model) + ".json";
+        std::string want =
+            cacheKeyForSpecKey(entry->spec, entry->model) + ".json";
         if (path.filename().string() != want) {
             quarantine(path, "key/content mismatch (expected '" +
                                  want + "')");
-            continue;
-        }
-        bool fields_ok = true;
-        for (const auto &field : u64Fields) {
-            if (!get(field.name)) {
-                fields_ok = false;
-                break;
-            }
-        }
-        if (fields_ok) {
-            for (const auto &field : doubleFields) {
-                if (!get(field.name)) {
-                    fields_ok = false;
-                    break;
-                }
-            }
-        }
-        if (!fields_ok || !get("design") || !get("benchmark")) {
-            quarantine(path, "missing required result fields");
             continue;
         }
         ++report.valid;

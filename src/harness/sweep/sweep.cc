@@ -14,9 +14,9 @@
 #include "harness/sweep/journal.hh"
 #include "harness/sweep/sandbox.hh"
 #include "phys/technology.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/metrics/metrics.hh"
-#include "sim/trace/tracesink.hh"
 #include "workload/profile.hh"
 
 namespace tlsim
@@ -226,11 +226,11 @@ class FleetTelemetry
             std::ostringstream line;
             line << "{\"schema\": \"tlsim-manifest-v1\", "
                  << "\"spec\": \""
-                 << trace::jsonEscape(specKey(spec))
+                 << json::escape(specKey(spec))
                  << "\", \"benchmark\": \""
-                 << trace::jsonEscape(spec.benchmark)
+                 << json::escape(spec.benchmark)
                  << "\", \"design\": \""
-                 << trace::jsonEscape(spec.config.design)
+                 << json::escape(spec.config.design)
                  << "\", \"outcome\": \"" << outcome
                  << "\", \"wall_ms\": "
                  << (wall_ms >= 0.0 ? wall_ms : 0.0)
@@ -242,7 +242,7 @@ class FleetTelemetry
                  << (result ? result->degradedRequests : 0.0);
             if (result && !result->error.empty()) {
                 line << ", \"error\": \""
-                     << trace::jsonEscape(result->error) << "\"";
+                     << json::escape(result->error) << "\"";
             }
             line << "}";
             manifest.writeLine(line.str());

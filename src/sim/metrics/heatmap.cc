@@ -1,7 +1,7 @@
 #include "sim/metrics/heatmap.hh"
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
-#include "sim/trace/tracesink.hh"
 
 namespace tlsim
 {
@@ -88,7 +88,7 @@ void
 Heatmap::dumpJson(std::ostream &os) const
 {
     os << "{\"kind\": \"heatmap\", \"desc\": \""
-       << trace::jsonEscape(desc()) << "\", \"cells\": " << _cells
+       << json::escape(desc()) << "\", \"cells\": " << _cells
        << ", \"window\": " << window << ", \"base_tick\": " << base
        << ", \"rows\": " << rowCount() << ", \"data\": [";
     std::size_t rows = rowCount();

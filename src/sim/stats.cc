@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <iomanip>
 
-#include "sim/trace/tracesink.hh"
+#include "sim/json.hh"
 
 namespace tlsim
 {
@@ -64,13 +64,13 @@ StatGroup::dumpStatsJson(std::ostream &os, int indent,
     bool first = true;
     for (const auto *stat : stats) {
         os << (first ? open : sep) << pad << '"'
-           << trace::jsonEscape(stat->name()) << "\": ";
+           << json::escape(stat->name()) << "\": ";
         stat->dumpJson(os);
         first = false;
     }
     for (const auto *child : children) {
         os << (first ? open : sep) << pad << '"'
-           << trace::jsonEscape(child->groupName()) << "\": ";
+           << json::escape(child->groupName()) << "\": ";
         child->dumpStatsJson(os, indent + 2, pretty);
         first = false;
     }
@@ -206,7 +206,7 @@ void
 jsonKind(std::ostream &os, const char *kind, const std::string &desc)
 {
     os << "{\"kind\": \"" << kind << "\", \"desc\": \""
-       << trace::jsonEscape(desc) << "\"";
+       << json::escape(desc) << "\"";
 }
 
 } // namespace

@@ -1,7 +1,6 @@
 #include "sim/trace/tracesink.hh"
 
-#include <cstdio>
-
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/trace/observed.hh"
 
@@ -11,43 +10,6 @@ namespace trace
 {
 
 TraceSink *TraceSink::activeSink = nullptr;
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 TraceSink::TraceSink(std::ostream &os_)
     : os(os_)
@@ -95,7 +57,7 @@ TraceSink::writeEventPrefix(const char *category,
     else
         os << ",\n";
     os << "{\"ph\":\"" << phase << "\",\"cat\":\"" << category
-       << "\",\"name\":\"" << jsonEscape(name) << "\",\"ts\":" << when
+       << "\",\"name\":\"" << json::escape(name) << "\",\"ts\":" << when
        << ",\"pid\":0,\"tid\":" << track;
     ++events;
 }

@@ -133,9 +133,6 @@ class TraceSink
     std::uint64_t events = 0;
 };
 
-/** Escape a string for inclusion in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
-
 } // namespace trace
 } // namespace tlsim
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -209,6 +210,47 @@ TEST(SystemConfig, LoadRejectsMalformedInput)
     SystemConfig zero_cores;
     zero_cores.cores = 0;
     EXPECT_THROW(loadConfigJson(configToJson(zero_cores)), FatalError);
+
+    // Integer fields take only tokens their type holds exactly.
+    const std::string json = configToJson(SystemConfig{});
+    auto withField = [&](const std::string &field,
+                         const std::string &value) {
+        std::string key = "\"" + field + "\": ";
+        std::size_t at = json.find(key);
+        EXPECT_NE(at, std::string::npos) << field;
+        at += key.size();
+        std::size_t end = json.find_first_of(",}", at);
+        return json.substr(0, at) + value + json.substr(end);
+    };
+    EXPECT_NO_THROW(loadConfigJson(withField("warmup", "7")));
+    for (const char *bad : {"-1", "2.5", "1e10", "18446744073709551616"})
+        EXPECT_THROW(loadConfigJson(withField("warmup", bad)), FatalError)
+            << bad;
+    for (const char *bad : {"2.5", "1e10", "4294967297"})
+        EXPECT_THROW(loadConfigJson(withField("cores", bad)), FatalError)
+            << bad;
+    EXPECT_THROW(loadConfigJson(withField("seed", "-1")), FatalError);
+
+    // A repeated key is an error, not last-one-wins.
+    std::string twice = json;
+    twice.insert(twice.find("  \"cores\""), "  \"cores\": 2,\n");
+    EXPECT_THROW(loadConfigJson(twice), FatalError);
+}
+
+TEST(SystemConfig, U64FieldsRoundTripExactly)
+{
+    for (std::uint64_t value : {std::uint64_t{0x9e3779b97f4a7c15},
+                                std::numeric_limits<std::uint64_t>::max()}) {
+        SystemConfig config = fancyConfig();
+        config.fault.seed = value;
+        config.measure = value;
+        SystemConfig loaded = loadConfigJson(configToJson(config));
+        EXPECT_EQ(loaded.fault.seed, value);
+        EXPECT_EQ(loaded.measure, value);
+        EXPECT_EQ(loaded, config);
+        EXPECT_EQ(loaded.machineHash(), config.machineHash());
+        EXPECT_EQ(loaded.contentHash(), config.contentHash());
+    }
 }
 
 TEST(Registry, KnowsThePaperDesigns)

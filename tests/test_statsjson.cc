@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "sim/eventq.hh"
+#include "sim/json.hh"
 #include "sim/stats.hh"
 #include "sim/trace/sampler.hh"
-#include "testjson.hh"
 
 using namespace tlsim;
 
@@ -37,6 +39,16 @@ struct TreeFixture
                             }};
 };
 
+/** Parse @p text, failing the test (not crashing) when it is invalid. */
+json::Value
+parseJson(const std::string &text)
+{
+    std::string error;
+    std::optional<json::Value> doc = json::parse(text, &error);
+    EXPECT_TRUE(doc.has_value()) << error;
+    return doc.value_or(json::Value{});
+}
+
 } // namespace
 
 TEST(StatsJson, RoundTripAllKinds)
@@ -52,37 +64,37 @@ TEST(StatsJson, RoundTripAllKinds)
 
     std::ostringstream out;
     t.root.dumpStatsJson(out);
-    testjson::Value doc = testjson::parse(out.str());
+    json::Value doc = parseJson(out.str());
 
-    const auto &l2 = doc.at("l2");
-    EXPECT_EQ(l2.at("requests").at("kind").str, "scalar");
-    EXPECT_EQ(l2.at("requests").at("value").number, 5.0);
-    EXPECT_NE(l2.at("requests").at("desc").str, "");
+    const auto &l2 = doc.members.at("l2");
+    EXPECT_EQ(l2.members.at("requests").members.at("kind").text, "scalar");
+    EXPECT_EQ(l2.members.at("requests").members.at("value").asDouble(), 5.0);
+    EXPECT_NE(l2.members.at("requests").members.at("desc").text, "");
 
-    const auto &lat = l2.at("latency");
-    EXPECT_EQ(lat.at("kind").str, "average");
-    EXPECT_EQ(lat.at("count").number, 2.0);
-    EXPECT_EQ(lat.at("mean").number, 15.0);
-    EXPECT_EQ(lat.at("min").number, 10.0);
-    EXPECT_EQ(lat.at("max").number, 20.0);
+    const auto &lat = l2.members.at("latency");
+    EXPECT_EQ(lat.members.at("kind").text, "average");
+    EXPECT_EQ(lat.members.at("count").asDouble(), 2.0);
+    EXPECT_EQ(lat.members.at("mean").asDouble(), 15.0);
+    EXPECT_EQ(lat.members.at("min").asDouble(), 10.0);
+    EXPECT_EQ(lat.members.at("max").asDouble(), 20.0);
 
-    const auto &queue = l2.at("queue");
-    EXPECT_EQ(queue.at("kind").str, "distribution");
-    EXPECT_EQ(queue.at("count").number, 3.0);
-    EXPECT_EQ(queue.at("underflow").number, 1.0);
-    EXPECT_EQ(queue.at("overflow").number, 1.0);
-    ASSERT_EQ(queue.at("buckets").size(), 5u);
-    EXPECT_EQ(queue.at("buckets").at(1).number, 1.0);
+    const auto &queue = l2.members.at("queue");
+    EXPECT_EQ(queue.members.at("kind").text, "distribution");
+    EXPECT_EQ(queue.members.at("count").asDouble(), 3.0);
+    EXPECT_EQ(queue.members.at("underflow").asDouble(), 1.0);
+    EXPECT_EQ(queue.members.at("overflow").asDouble(), 1.0);
+    ASSERT_EQ(queue.members.at("buckets").items.size(), 5u);
+    EXPECT_EQ(queue.members.at("buckets").items.at(1).asDouble(), 1.0);
 
-    const auto &gaps = l2.at("gaps");
-    EXPECT_EQ(gaps.at("kind").str, "histogram");
-    EXPECT_EQ(gaps.at("count").number, 1.0);
+    const auto &gaps = l2.members.at("gaps");
+    EXPECT_EQ(gaps.members.at("kind").text, "histogram");
+    EXPECT_EQ(gaps.members.at("count").asDouble(), 1.0);
     // 7 falls in the log2 bucket with index 3 (values 4..7).
-    EXPECT_TRUE(gaps.at("buckets").has("3"));
+    EXPECT_TRUE(gaps.members.at("buckets").find("3"));
 
-    const auto &rate = l2.at("miss_rate");
-    EXPECT_EQ(rate.at("kind").str, "formula");
-    EXPECT_DOUBLE_EQ(rate.at("value").number, 0.2);
+    const auto &rate = l2.members.at("miss_rate");
+    EXPECT_EQ(rate.members.at("kind").text, "formula");
+    EXPECT_DOUBLE_EQ(rate.members.at("value").asDouble().value(), 0.2);
 }
 
 TEST(StatsJson, DoublesSurviveExactly)
@@ -93,8 +105,9 @@ TEST(StatsJson, DoublesSurviveExactly)
 
     std::ostringstream out;
     root.dumpStatsJson(out);
-    testjson::Value doc = testjson::parse(out.str());
-    EXPECT_EQ(doc.at("value").at("value").number, 0.1 + 0.2);
+    json::Value doc = parseJson(out.str());
+    EXPECT_EQ(doc.members.at("value").members.at("value").asDouble(),
+              0.1 + 0.2);
 }
 
 TEST(StatsJson, NonFiniteValuesBecomeZero)
@@ -110,9 +123,9 @@ TEST(StatsJson, NonFiniteValuesBecomeZero)
     std::ostringstream out;
     root.dumpStatsJson(out);
     // Must still parse: NaN/Inf are not valid JSON.
-    testjson::Value doc = testjson::parse(out.str());
-    EXPECT_EQ(doc.at("bad").at("value").number, 0.0);
-    EXPECT_EQ(doc.at("worse").at("value").number, 0.0);
+    json::Value doc = parseJson(out.str());
+    EXPECT_EQ(doc.members.at("bad").members.at("value").asDouble(), 0.0);
+    EXPECT_EQ(doc.members.at("worse").members.at("value").asDouble(), 0.0);
 }
 
 TEST(StatsJson, EmptyGroupIsValid)
@@ -120,7 +133,7 @@ TEST(StatsJson, EmptyGroupIsValid)
     stats::StatGroup root{"root"};
     std::ostringstream out;
     root.dumpStatsJson(out);
-    testjson::Value doc = testjson::parse(out.str());
+    json::Value doc = parseJson(out.str());
     EXPECT_TRUE(doc.isObject());
 }
 
@@ -148,10 +161,10 @@ TEST(StatSampler, PeriodicSamplesFormJsonLines)
     std::size_t parsed = 0;
     double last_tick = 0.0;
     while (std::getline(lines, line)) {
-        testjson::Value doc = testjson::parse(line);
-        EXPECT_GT(doc.at("tick").number, last_tick);
-        last_tick = doc.at("tick").number;
-        EXPECT_TRUE(doc.at("stats").at("l2").isObject());
+        json::Value doc = parseJson(line);
+        EXPECT_GT(doc.members.at("tick").asDouble(), last_tick);
+        last_tick = doc.members.at("tick").asDouble().value();
+        EXPECT_TRUE(doc.members.at("stats").members.at("l2").isObject());
         ++parsed;
     }
     EXPECT_EQ(parsed, 5u);
@@ -159,12 +172,12 @@ TEST(StatSampler, PeriodicSamplesFormJsonLines)
     // The time series captures the growth of the counter.
     std::istringstream again(out.str());
     std::getline(again, line);
-    testjson::Value first = testjson::parse(line);
-    EXPECT_EQ(first.at("stats")
-                  .at("l2")
-                  .at("requests")
-                  .at("value")
-                  .number,
+    json::Value first = parseJson(line);
+    EXPECT_EQ(first.members.at("stats")
+                  .members.at("l2")
+                  .members.at("requests")
+                  .members.at("value")
+                  .asDouble(),
               1.0);
 }
 

@@ -27,6 +27,7 @@
 #include "phys/physcache.hh"
 #include "repro/experiments.hh"
 #include "sim/eventq.hh"
+#include "sim/json.hh"
 #include "sim/metrics/heatmap.hh"
 #include "sim/prof/prof.hh"
 
@@ -883,54 +884,91 @@ TEST(Journal, RejectsIdentityMismatch)
 TEST(Journal, EscapeRoundTripsControlCharacters)
 {
     std::string nasty = "line1\nline2\t\"quoted\\\"\r\x01\x1f end";
-    EXPECT_EQ(journal::unescapeJson(journal::escapeJson(nasty)),
-              nasty);
+    std::string escaped = json::escape(nasty);
+    auto back = json::parse("\"" + escaped + "\"");
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->text, nasty);
     // The escaped form is single-line (JSONL-safe).
-    EXPECT_EQ(journal::escapeJson(nasty).find('\n'),
-              std::string::npos);
+    EXPECT_EQ(escaped.find('\n'), std::string::npos);
+
+    // A line with a malformed escape is unparseable: corruption in
+    // the interior of a journal, a torn record at its end.
+    auto specs = smallSpecs(1);
+    std::string dir = freshDir("journal_escape");
+    std::filesystem::create_directories(dir);
+    std::string path = dir + "/sweep.jsonl";
+    {
+        journal::Writer writer(path, false);
+        writer.writeHeader(specs);
+    }
+    std::string bad = "{\"schema\": \"tlsim-journal-v1\", \"event\": "
+                      "\"started\", \"spec\": \"x\\u00\"}";
+    std::ofstream(path, std::ios::app) << bad << "\n";
+    auto state = journal::loadForResume(path, specs);
+    EXPECT_TRUE(state.ok) << state.error;
+    std::ofstream(path, std::ios::app) << bad << "\n";
+    state = journal::loadForResume(path, specs);
+    EXPECT_FALSE(state.ok);
+    EXPECT_EQ(state.error, "corrupt journal line 2");
 }
 
 TEST(Fsck, QuarantinesCorruptEntriesOnly)
 {
-    auto specs = smallSpecs(3);
+    auto specs = smallSpecs(5);
     std::string dir = freshDir("fsck");
     ResultCache cache(dir);
 
     RunResult result;
     result.design = "TLC";
+    result.cycles = 123456;
+    result.ipc = 1.25;
     for (const auto &spec : specs) {
         result.benchmark = spec.benchmark;
         cache.store(spec, result);
     }
 
-    // Corrupt entry 0 (truncate), misfile a copy of entry 1 under a
-    // wrong name, and leave a tmp droppings file around.
-    std::string path0 = dir + "/" + cacheKey(specs[0]) + ".json";
-    std::string text0;
-    {
-        std::ifstream in(path0);
+    auto entryPath = [&](std::size_t i) {
+        return dir + "/" + cacheKey(specs[i]) + ".json";
+    };
+    auto readEntry = [&](std::size_t i) {
+        std::ifstream in(entryPath(i));
         std::ostringstream os;
         os << in.rdbuf();
-        text0 = os.str();
-    }
+        return os.str();
+    };
+    // Rewrite entry @p i with its first @p from replaced by @p to.
+    auto mutateEntry = [&](std::size_t i, const std::string &from,
+                           const std::string &to) {
+        std::string text = readEntry(i);
+        std::size_t at = text.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        text.replace(at, from.size(), to);
+        std::ofstream(entryPath(i), std::ios::trunc) << text;
+    };
+
+    // Corrupt entry 0 (truncate), misfile a copy of entry 1 under a
+    // wrong name, flip a digit to a letter in a u64 (entry 3) and a
+    // double (entry 4) field, and leave a tmp droppings file around.
+    std::string path0 = entryPath(0);
+    std::string text0 = readEntry(0);
     std::ofstream(path0, std::ios::trunc)
         << text0.substr(0, text0.size() / 2);
     std::string misfiled = dir + "/0123456789abcdef.json";
-    {
-        std::ifstream in(dir + "/" + cacheKey(specs[1]) + ".json");
-        std::ofstream out(misfiled);
-        out << in.rdbuf();
-    }
+    std::ofstream(misfiled) << readEntry(1);
+    mutateEntry(3, "\"cycles\": 123456", "\"cycles\": 12x456");
+    mutateEntry(4, "\"ipc\": 1.25", "\"ipc\": 1.2x");
     std::ofstream(dir + "/deadbeef.json.tmp.12345") << "partial";
+    EXPECT_FALSE(readResultJson(readEntry(3), specs[3]).has_value());
+    EXPECT_FALSE(readResultJson(readEntry(4), specs[4]).has_value());
 
     auto report = fsckCache(dir);
-    EXPECT_EQ(report.scanned, 4u); // 3 entries + the misfiled copy
+    EXPECT_EQ(report.scanned, 6u); // 5 entries + the misfiled copy
     EXPECT_EQ(report.valid, 2u);
-    EXPECT_EQ(report.quarantined, 2u);
-    EXPECT_EQ(report.problems.size(), 2u);
+    EXPECT_EQ(report.quarantined, 4u);
+    EXPECT_EQ(report.problems.size(), 4u);
 
     // Quarantined files moved (preserved, not deleted), healthy ones
-    // stayed, and the cache no longer sees the corrupt entry.
+    // stayed, and the cache no longer sees the corrupt entries.
     EXPECT_FALSE(std::filesystem::exists(path0));
     EXPECT_TRUE(std::filesystem::exists(
         dir + "/quarantine/" + cacheKey(specs[0]) + ".json"));

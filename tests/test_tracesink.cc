@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "harness/system.hh"
+#include "sim/json.hh"
 #include "sim/trace/tracesink.hh"
-#include "testjson.hh"
 
 using namespace tlsim;
 
@@ -30,6 +32,16 @@ struct ActiveSinkGuard
     ~ActiveSinkGuard() { trace::TraceSink::setActive(nullptr); }
 };
 
+/** Parse @p text, failing the test (not crashing) when it is invalid. */
+json::Value
+parseJson(const std::string &text)
+{
+    std::string error;
+    std::optional<json::Value> doc = json::parse(text, &error);
+    EXPECT_TRUE(doc.has_value()) << error;
+    return doc.value_or(json::Value{});
+}
+
 } // namespace
 
 TEST(TraceSink, EmptyTraceIsValidJson)
@@ -39,10 +51,10 @@ TEST(TraceSink, EmptyTraceIsValidJson)
         trace::TraceSink sink(out);
         sink.close();
     }
-    testjson::Value doc = testjson::parse(out.str());
+    json::Value doc = parseJson(out.str());
     ASSERT_TRUE(doc.isObject());
-    EXPECT_TRUE(doc.at("traceEvents").isArray());
-    EXPECT_EQ(doc.at("traceEvents").size(), 0u);
+    EXPECT_TRUE(doc.members.at("traceEvents").isArray());
+    EXPECT_EQ(doc.members.at("traceEvents").items.size(), 0u);
 }
 
 TEST(TraceSink, SpanFieldsRoundTrip)
@@ -53,24 +65,25 @@ TEST(TraceSink, SpanFieldsRoundTrip)
     sink.span(trace::cat::noc, "hop", 105, 110, trace::tid::nocBase + 3);
     sink.close();
 
-    testjson::Value doc = testjson::parse(out.str());
-    const auto &events = doc.at("traceEvents");
-    ASSERT_EQ(events.size(), 2u);
+    json::Value doc = parseJson(out.str());
+    const auto &events = doc.members.at("traceEvents");
+    ASSERT_EQ(events.items.size(), 2u);
     EXPECT_EQ(sink.eventCount(), 2u);
 
-    const auto &l2 = events.at(0);
-    EXPECT_EQ(l2.at("ph").str, "X");
-    EXPECT_EQ(l2.at("cat").str, "l2");
-    EXPECT_EQ(l2.at("name").str, "load 42");
-    EXPECT_EQ(l2.at("ts").number, 100.0);
-    EXPECT_EQ(l2.at("dur").number, 30.0);
-    EXPECT_EQ(l2.at("tid").number, static_cast<double>(trace::tid::l2));
-    EXPECT_EQ(l2.at("args").at("req").number, 7.0);
+    const auto &l2 = events.items.at(0);
+    EXPECT_EQ(l2.members.at("ph").text, "X");
+    EXPECT_EQ(l2.members.at("cat").text, "l2");
+    EXPECT_EQ(l2.members.at("name").text, "load 42");
+    EXPECT_EQ(l2.members.at("ts").asDouble(), 100.0);
+    EXPECT_EQ(l2.members.at("dur").asDouble(), 30.0);
+    EXPECT_EQ(l2.members.at("tid").asDouble(),
+              static_cast<double>(trace::tid::l2));
+    EXPECT_EQ(l2.members.at("args").members.at("req").asDouble(), 7.0);
 
     // No request id -> no args.req.
-    const auto &hop = events.at(1);
-    EXPECT_EQ(hop.at("cat").str, "noc");
-    EXPECT_FALSE(hop.has("args"));
+    const auto &hop = events.items.at(1);
+    EXPECT_EQ(hop.members.at("cat").text, "noc");
+    EXPECT_FALSE(hop.find("args"));
 }
 
 TEST(TraceSink, CounterEventsEmitted)
@@ -80,10 +93,10 @@ TEST(TraceSink, CounterEventsEmitted)
     sink.counter(trace::cat::dram, "outstanding", 50, 3.0);
     sink.close();
 
-    testjson::Value doc = testjson::parse(out.str());
-    const auto &ev = doc.at("traceEvents").at(0);
-    EXPECT_EQ(ev.at("ph").str, "C");
-    EXPECT_EQ(ev.at("args").at("value").number, 3.0);
+    json::Value doc = parseJson(out.str());
+    const auto &ev = doc.members.at("traceEvents").items.at(0);
+    EXPECT_EQ(ev.members.at("ph").text, "C");
+    EXPECT_EQ(ev.members.at("args").members.at("value").asDouble(), 3.0);
 }
 
 TEST(TraceSink, NamesAreJsonEscaped)
@@ -94,8 +107,8 @@ TEST(TraceSink, NamesAreJsonEscaped)
               trace::tid::l2);
     sink.close();
 
-    testjson::Value doc = testjson::parse(out.str());
-    EXPECT_EQ(doc.at("traceEvents").at(0).at("name").str,
+    json::Value doc = parseJson(out.str());
+    EXPECT_EQ(doc.members.at("traceEvents").items.at(0).members.at("name").text,
               "weird \"name\"\nwith\tescapes");
 }
 
@@ -108,8 +121,8 @@ TEST(TraceSink, CloseIsIdempotentAndDropsLateEvents)
     sink.span(trace::cat::l2, "late", 2, 3, trace::tid::l2);
     sink.close();
 
-    testjson::Value doc = testjson::parse(out.str());
-    EXPECT_EQ(doc.at("traceEvents").size(), 1u);
+    json::Value doc = parseJson(out.str());
+    EXPECT_EQ(doc.members.at("traceEvents").items.size(), 1u);
 }
 
 TEST(TraceSink, ActiveSinkInstallUninstall)
@@ -144,19 +157,19 @@ TEST(TraceSink, TracedBenchmarkRunCoversCategories)
     }
     sink.close();
 
-    testjson::Value doc = testjson::parse(out.str());
-    const auto &events = doc.at("traceEvents");
-    ASSERT_GT(events.size(), 100u);
+    json::Value doc = parseJson(out.str());
+    const auto &events = doc.members.at("traceEvents");
+    ASSERT_GT(events.items.size(), 100u);
 
     std::set<std::string> categories;
     bool linked_req = false;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        const auto &ev = events.at(i);
-        categories.insert(ev.at("cat").str);
-        if (ev.at("ph").str == "X") {
-            EXPECT_GE(ev.at("dur").number, 0.0);
+    for (std::size_t i = 0; i < events.items.size(); ++i) {
+        const auto &ev = events.items.at(i);
+        categories.insert(ev.members.at("cat").text);
+        if (ev.members.at("ph").text == "X") {
+            EXPECT_GE(ev.members.at("dur").asDouble(), 0.0);
         }
-        if (ev.has("args") && ev.at("args").has("req"))
+        if (ev.find("args") && ev.members.at("args").find("req"))
             linked_req = true;
     }
     EXPECT_TRUE(categories.count("eventq"));
