@@ -1,14 +1,20 @@
 /**
  * @file
- * Declarative registry of the paper's simulation-driven experiments.
+ * Declarative registry of every reproducible artifact of the paper.
  *
- * Each table/figure of the evaluation that needs full-system
- * simulation (Table 6, Table 9, Figures 5-8) is expressed as an
- * Experiment: a function producing the RunSpecs it needs and a
- * render function turning completed results into the paper-style
- * table. The sweep runner executes the union of all requested specs
- * (shared cells are deduplicated, so e.g. Figures 5 and 6 reuse the
- * same runs); rendering never triggers simulation.
+ * Each table/figure that needs full-system simulation (Table 6,
+ * Table 9, Figures 5-8) is a sweep experiment: a function producing
+ * the RunSpecs it needs and a render function turning completed
+ * results into the paper-style table. The sweep runner executes the
+ * union of all requested specs (shared cells are deduplicated, so
+ * e.g. Figures 5 and 6 reuse the same runs); rendering a sweep
+ * experiment never triggers simulation.
+ *
+ * The physical-model tables (Tables 1, 2, 7, 8, wire latency) and the
+ * ablations are no-sweep experiments: a null specs function, and a
+ * render function that computes the table itself and ignores the
+ * lookup. The three simulation ablations run their own machines from
+ * render, at fixed budgets.
  */
 
 #ifndef TLSIM_BENCH_REPRO_EXPERIMENTS_HH
@@ -46,7 +52,10 @@ struct Experiment
     const char *name;
     /** One-line description shown by --list. */
     const char *title;
-    /** Every run this experiment needs, on the given base machine. */
+    /**
+     * Every run this experiment needs, on the given base machine;
+     * null for a no-sweep experiment.
+     */
     std::vector<harness::sweep::RunSpec> (*specs)(
         const harness::SystemConfig &);
     /** Print the paper-style table from completed results. */

@@ -13,6 +13,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -141,7 +142,8 @@ printUsage(std::ostream &os)
 {
     os << "usage: tlsim_repro [options]\n"
           "  --list              print the experiments and exit\n"
-          "  --filter a,b        run only the named experiments\n"
+          "  --filter a,b        run only the named experiments "
+          "(default: all but ablation-*)\n"
           "  --jobs N            worker threads (default: hardware "
           "threads)\n"
           "  --cache-dir DIR     result-cache directory (default "
@@ -611,8 +613,11 @@ selectExperiments(const std::string &filter, bool &ok)
     std::vector<const Experiment *> selected;
     ok = true;
     if (filter.empty()) {
-        for (const auto &experiment : experiments())
-            selected.push_back(&experiment);
+        for (const auto &experiment : experiments()) {
+            if (!std::string_view(experiment.name)
+                     .starts_with("ablation-"))
+                selected.push_back(&experiment);
+        }
         return selected;
     }
     std::istringstream names(filter);
@@ -707,9 +712,12 @@ reproMain(int argc, char **argv)
     // simulate once.
     harness::SystemConfig base = opts.baseConfig();
     std::vector<harness::sweep::RunSpec> specs;
-    for (const auto *experiment : selected)
+    for (const auto *experiment : selected) {
+        if (!experiment->specs)
+            continue;
         for (const auto &spec : experiment->specs(base))
             harness::sweep::addUnique(specs, spec);
+    }
 
     // Telemetry knobs take effect before any System is built: the
     // spatial flag is read at design construction, and the profiler's
@@ -740,7 +748,9 @@ reproMain(int argc, char **argv)
     sweep_opts.journalPath = opts.journalPath;
     sweep_opts.resume = opts.resume;
 
-    auto outcome = harness::sweep::runSweep(specs, sweep_opts);
+    harness::sweep::SweepOutcome outcome;
+    if (!specs.empty())
+        outcome = harness::sweep::runSweep(specs, sweep_opts);
 
     if (outcome.interrupted) {
         std::cerr << "tlsim_repro: sweep interrupted after "
@@ -765,7 +775,7 @@ reproMain(int argc, char **argv)
         prof::Registry::instance().writeReport(std::cerr);
     }
 
-    if (!opts.quiet) {
+    if (!opts.quiet && !specs.empty()) {
         std::cerr << "sweep: " << outcome.executed << " simulated, "
                   << outcome.cached << " from cache";
         if (outcome.restored > 0)

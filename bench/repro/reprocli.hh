@@ -20,7 +20,8 @@ namespace repro
  *
  * Usage: tlsim_repro [options]
  *   --list              print the experiments and exit
- *   --filter a,b        run only the named experiments (default all)
+ *   --filter a,b        run only the named experiments (default:
+ *                       all but the ablation-* ones)
  *   --jobs N            worker threads (default: hardware threads)
  *   --cache-dir DIR     result-cache directory
  *                       (default $TLSIM_CACHE_DIR or

@@ -2,6 +2,9 @@
 
 #include <poll.h>
 #include <signal.h>
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
 #include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -201,6 +204,7 @@ runSandboxed(const RunSpec &spec, bool capture_stats,
             spec, csprintf("sandbox: pipe failed: {}",
                            std::strerror(errno)));
 
+    [[maybe_unused]] pid_t parent = ::getpid();
     pid_t pid = ::fork();
     if (pid < 0) {
         ::close(fds[0]);
@@ -210,6 +214,15 @@ runSandboxed(const RunSpec &spec, bool capture_stats,
                            std::strerror(errno)));
     }
     if (pid == 0) {
+#if defined(__linux__)
+        // Die with the sweep: an orphaned worker would otherwise hold
+        // inherited pipes open (and keep spinning) after its parent
+        // is killed. A parent that died before prctl took effect has
+        // already reparented us, so check for that race too.
+        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+        if (::getppid() != parent)
+            ::_exit(1);
+#endif
         ::close(fds[0]);
         childMain(fds[1], spec, capture_stats, limits);
     }

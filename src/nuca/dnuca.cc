@@ -578,7 +578,8 @@ namespace
 const char *const dnucaOptions[] = {"promoteOnHit",
                                     "promotionDistance",
                                     "insertionBank", "closeBanks",
-                                    "partialTagLatency", nullptr};
+                                    "partialTagLatency",
+                                    "partialTagBits", nullptr};
 
 const l2::Registrar registerDnuca{
     "DNUCA", [](const l2::BuildContext &ctx) {
@@ -597,6 +598,9 @@ const l2::Registrar registerDnuca{
         cfg.partialTagLatency = static_cast<Cycles>(
             l2::optionOr(ctx.options, "partialTagLatency",
                          static_cast<double>(cfg.partialTagLatency)));
+        cfg.bankSets.partialTagBits = static_cast<int>(
+            l2::optionOr(ctx.options, "partialTagBits",
+                         cfg.bankSets.partialTagBits));
         return std::make_unique<DnucaCache>(ctx.eq, ctx.parent,
                                             ctx.dram, ctx.tech, cfg,
                                             ctx.injector);

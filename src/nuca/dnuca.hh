@@ -93,6 +93,9 @@ class DnucaCache : public mem::L2Cache
 
     int bankAccessCycles() const { return bankCycles; }
 
+    /** The configuration the cache was built with. */
+    const DnucaConfig &config() const { return cfg; }
+
     /** Min/max uncontended latencies over all banks (Table 2). */
     std::pair<Cycles, Cycles> latencyRange() const;
 

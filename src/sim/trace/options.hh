@@ -15,8 +15,7 @@
  * program's lifetime, and offers helpers to attach a sampler and dump
  * final stats. Environment variables TLSIM_TRACE_OUT,
  * TLSIM_STATS_JSON, TLSIM_STATS_SERIES and TLSIM_STATS_PERIOD act as
- * defaults so even argv-less harnesses (google-benchmark) are
- * reachable.
+ * defaults so even harnesses that own argv are reachable.
  */
 
 #ifndef TLSIM_SIM_TRACE_OPTIONS_HH

@@ -16,6 +16,7 @@
 #include "harness/system.hh"
 #include "mem/dram.hh"
 #include "mem/l2registry.hh"
+#include "nuca/dnuca.hh"
 #include "phys/technology.hh"
 #include "sim/logging.hh"
 #include "workload/profile.hh"
@@ -289,6 +290,29 @@ TEST(Registry, RejectsUnknownDesignOptions)
     l2::DesignOptions options{{"definitelyNotAKnob", 1.0}};
     l2::BuildContext ctx{eq, &root, dram, phys::tech45(), options};
     EXPECT_THROW(l2::Registry::build("TLC", ctx), FatalError);
+}
+
+TEST(Registry, DnucaPartialTagBitsReachTheBuiltCache)
+{
+    EventQueue eq;
+    stats::StatGroup root("root");
+    mem::Dram dram(eq, &root);
+    l2::DesignOptions options{{"partialTagBits", 2.0}};
+    l2::BuildContext ctx{eq, &root, dram, phys::tech45(), options};
+    auto cache = l2::Registry::build("DNUCA", ctx);
+    auto *dnuca = dynamic_cast<nuca::DnucaCache *>(cache.get());
+    ASSERT_NE(dnuca, nullptr);
+    EXPECT_EQ(dnuca->config().bankSets.partialTagBits, 2);
+}
+
+TEST(Registry, DnucaRejectsMisspelledPartialTagBits)
+{
+    EventQueue eq;
+    stats::StatGroup root("root");
+    mem::Dram dram(eq, &root);
+    l2::DesignOptions options{{"partialTagBit", 2.0}};
+    l2::BuildContext ctx{eq, &root, dram, phys::tech45(), options};
+    EXPECT_THROW(l2::Registry::build("DNUCA", ctx), FatalError);
 }
 
 TEST(MultiCore, SystemBuildsPerCoreStats)

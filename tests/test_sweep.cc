@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -18,11 +19,14 @@
 #include <sstream>
 #include <thread>
 
+#include <poll.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "harness/sweep/journal.hh"
 #include "harness/sweep/resultcache.hh"
 #include "harness/sweep/runspec.hh"
+#include "harness/sweep/sandbox.hh"
 #include "harness/sweep/sweep.hh"
 #include "phys/physcache.hh"
 #include "repro/experiments.hh"
@@ -723,6 +727,80 @@ TEST(Robustness, SandboxRssLimitKillsAllocatingRun)
               std::string::npos)
         << outcome.results[0].error;
 }
+
+#if defined(__linux__)
+namespace
+{
+
+/** A child of @p parent, found by scanning /proc; -1 if none. */
+pid_t
+childOf(pid_t parent)
+{
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc")) {
+        std::string name = entry.path().filename();
+        if (name.empty() || !std::isdigit(name[0]))
+            continue;
+        std::ifstream stat(entry.path() / "stat");
+        std::string line;
+        if (!std::getline(stat, line))
+            continue;
+        // "pid (comm) state ppid ...": comm may hold spaces and
+        // parentheses, so read on from the last ')'.
+        std::istringstream rest(line.substr(line.rfind(')') + 1));
+        char state = 0;
+        pid_t ppid = 0;
+        if (rest >> state >> ppid && ppid == parent)
+            return static_cast<pid_t>(std::stol(name));
+    }
+    return -1;
+}
+
+} // namespace
+
+TEST(Robustness, SandboxWorkerDiesWithItsParent)
+{
+    // A sandboxed run must not outlive the sweep that forked it: an
+    // orphan keeps spinning and holds every inherited pipe open. The
+    // helper stands in for the sweep. The hung grandchild inherits
+    // the write end of `alive`, so EOF on the read end means it died.
+    auto specs = smallSpecs(1);
+    SetEnv hook("TLSIM_TEST_HANG_SPEC", specKey(specs[0]));
+    int alive[2];
+    ASSERT_EQ(::pipe(alive), 0);
+    pid_t helper = ::fork();
+    ASSERT_GE(helper, 0);
+    if (helper == 0) {
+        ::setpgid(0, 0);
+        ::close(alive[0]);
+        std::string stats;
+        runSandboxed(specs[0], false, stats, SandboxLimits{});
+        ::_exit(0);
+    }
+    ::setpgid(helper, helper);
+    ::close(alive[1]);
+
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (childOf(helper) < 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    bool forked = childOf(helper) >= 0;
+    ::kill(helper, SIGKILL);
+    ::waitpid(helper, nullptr, 0);
+
+    struct pollfd pfd = {alive[0], POLLIN, 0};
+    char byte = 0;
+    bool gone = ::poll(&pfd, 1, 5000) == 1 &&
+                ::read(alive[0], &byte, 1) == 0;
+    ::close(alive[0]);
+    // The grandchild shares the helper's process group: kill a
+    // survivor so a failure leaves nothing spinning.
+    ::kill(-helper, SIGKILL);
+    EXPECT_TRUE(forked);
+    EXPECT_TRUE(gone) << "sandboxed run outlived its parent by 5 s";
+}
+#endif
 
 TEST(Robustness, ThreadIsolationRunTimeout)
 {
