@@ -10,8 +10,10 @@
 #ifndef TLSIM_SIM_RNG_HH
 #define TLSIM_SIM_RNG_HH
 
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "sim/logging.hh"
 
@@ -136,28 +138,99 @@ class Rng
 };
 
 /**
- * Rng::geometric for a fixed mean. It holds the constant log(1 - p),
- * so a draw costs one std::log; the constant is the same double
- * expression Rng::geometric would evaluate, so draws are exact.
+ * Rng::geometric for a fixed mean, as an exact inverse-CDF table.
+ *
+ * A draw is f(m) = trunc(log(1 - m * 2^-53) / log(1 - p)) of one
+ * m = bits53(), p = 1 / (mean + 1): the expression Rng::geometric
+ * evaluates (invert()). The constructor finds, for k = 1..K, the
+ * threshold T_k, the least m with f(m) >= k, by evaluating f itself:
+ * it brackets the first guess ceil(2^53 * -expm1(k * log(1 - p))) and
+ * bisects. A draw finds k with T_k <= m < T_{k+1} from a 2^bucketBits
+ * index on m's top bits and a short compare loop, and returns k only
+ * when k < K and m is more than `band` away from both thresholds.
+ * Anywhere else (the tail m >= T_K - band, the band around each
+ * threshold, a mean <= 0, a log(1 - p) that is 0, -inf or NaN) it
+ * evaluates f.
+ *
+ * Why that is exact: 1 - m * 2^-53 is exact and falls as m grows;
+ * dividing by the negative constant log(1 - p) and truncating are
+ * both monotone. So f can step out of order only where log's rounding
+ * straddles an integer boundary of the quotient. An error of e ulp in
+ * log (the divide's rounding adds under one more) moves the
+ * quotient's crossing of k by under e m-units: |d log(x) / dm| =
+ * 2^-53 / x, and ulp(log x) * x * 2^53 <= 2 * |log x| * x <= 2 / e,
+ * for x = 1 - m * 2^-53. Each T_k is a point where f steps from < k
+ * to >= k, so it lies within that few-unit band around the crossing.
+ * glibc documents 1-2 ulp, so for any log error below ~1000 ulp every
+ * m more than `band` = 1024 past T_k and more than `band` short of
+ * T_{k+1} has f(m) == k.
+ *
+ * K stops where the tail mass q^K = (1 - p)^K drops below 2^-24,
+ * capped at maxThresholds, so on the paper profiles' means fewer than
+ * 1 in 10^7 draws evaluate log. The table is held by value: a
+ * distribution, and the TraceGenerator that owns it, copies as plain
+ * data.
  */
 class GeometricDist
 {
   public:
-    explicit GeometricDist(double mean)
-        : drawn(!(mean <= 0.0)),
-          logQ(drawn ? std::log(1.0 - 1.0 / (mean + 1.0)) : 0.0)
-    {
-    }
+    /** m-units around each threshold that evaluate f. */
+    static constexpr std::uint64_t band = 1024;
+    /** log2 of the bucket index's size, on m's top bits. */
+    static constexpr int bucketBits = 10;
+    /** Cap on K; a bucket holds k <= K in one byte. */
+    static constexpr unsigned maxThresholds = 255;
+    /** fromTable()'s answer where a draw evaluates f. */
+    static constexpr std::uint64_t notInTable = ~std::uint64_t(0);
+
+    explicit GeometricDist(double mean);
 
     std::uint64_t
     operator()(Rng &rng) const
     {
+        return drawn ? draw(rng.bits53()) : 0;
+    }
+
+    /** The draw on an already drawn m = bits53(); 0 for mean <= 0. */
+    std::uint64_t
+    draw(std::uint64_t m) const
+    {
         if (!drawn)
             return 0;
-        double u = rng.real();
-        if (u >= 1.0)
-            u = 0.9999999999999999;
-        // Inverse-CDF of the geometric distribution on {0, 1, 2, ...}.
+        std::uint64_t k = fromTable(m);
+        return k != notInTable ? k : invert(m, logQ);
+    }
+
+    /** The table's k for @p m, or notInTable where f is evaluated. */
+    std::uint64_t
+    fromTable(std::uint64_t m) const
+    {
+        // The index and the loop only step past thresholds <= m, so
+        // bounds[k] <= m < bounds[k + 1] and neither difference wraps.
+        unsigned k = bucket[m >> (53 - bucketBits)];
+        while (m >= bounds[k + 1])
+            ++k;
+        if (k < count && m - bounds[k] > band && bounds[k + 1] - m > band)
+            return k;
+        return notInTable;
+    }
+
+    /** T_1..T_K; empty where every draw evaluates f. */
+    std::span<const std::uint64_t>
+    thresholds() const
+    {
+        return {bounds.data() + 1, count};
+    }
+
+    /**
+     * f(m): the inverse CDF of the geometric distribution on
+     * {0, 1, 2, ...} at real() = m * 2^-53, for logQ = log(1 - p).
+     * m < 2^53 keeps u below 1, so u needs no clamp.
+     */
+    static std::uint64_t
+    invert(std::uint64_t m, double logQ)
+    {
+        double u = m * 0x1.0p-53;
         double g = std::log(1.0 - u) / logQ;
         if (g > 1e18)
             g = 1e18;
@@ -168,6 +241,12 @@ class GeometricDist
     /** False for mean <= 0: the draw is 0 and consumes nothing. */
     bool drawn;
     double logQ;
+    /** K: the number of thresholds found. */
+    unsigned count = 0;
+    /** T_0 = 0, T_1..T_K, then 2^53 (which no m reaches) to the end. */
+    std::array<std::uint64_t, maxThresholds + 2> bounds{};
+    /** Per bucket of m's top bits: the k with T_k <= its first m. */
+    std::array<std::uint8_t, std::size_t(1) << bucketBits> bucket{};
 };
 
 /**
@@ -255,7 +334,10 @@ class BernoulliDist
 inline std::uint64_t
 Rng::geometric(double mean)
 {
-    return GeometricDist(mean)(*this);
+    if (mean <= 0.0)
+        return 0;
+    return GeometricDist::invert(bits53(),
+                                 std::log(1.0 - 1.0 / (mean + 1.0)));
 }
 
 inline std::uint64_t

@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "sim/rng.hh"
+#include "workload/profile.hh"
 
 using namespace tlsim;
 
@@ -20,19 +23,25 @@ namespace
 // The draws as Rng implemented them before the precomputed
 // distributions existed, kept verbatim as the exactness reference.
 
+/** The geometric draw for mean > 0 at u = real(). */
 std::uint64_t
-refGeometric(Rng &rng, double mean)
+refGeometricAt(double u, double mean)
 {
-    if (mean <= 0.0)
-        return 0;
     double p = 1.0 / (mean + 1.0);
-    double u = rng.real();
     if (u >= 1.0)
         u = 0.9999999999999999;
     double g = std::log(1.0 - u) / std::log(1.0 - p);
     if (g > 1e18)
         g = 1e18;
     return static_cast<std::uint64_t>(g);
+}
+
+std::uint64_t
+refGeometric(Rng &rng, double mean)
+{
+    if (mean <= 0.0)
+        return 0;
+    return refGeometricAt(rng.real(), mean);
 }
 
 std::uint64_t
@@ -57,6 +66,43 @@ refZipf(Rng &rng, std::uint64_t n, double s)
 }
 
 constexpr int exactDraws = 20'000;
+
+/** The means the paper profiles' generators draw their gaps with. */
+std::vector<double>
+profileGapMeans()
+{
+    std::vector<double> means;
+    for (const auto &prof : workload::paperBenchmarks()) {
+        for (double per : {prof.instrPerMem, prof.instrPerIBlock}) {
+            double mean = std::max(1.0, per) - 1.0;
+            if (std::find(means.begin(), means.end(), mean) == means.end())
+                means.push_back(mean);
+        }
+    }
+    return means;
+}
+
+/**
+ * Compares dist.draw(m) with the old formula at every m of [lo, hi]
+ * clipped to [0, 2^53); returns the mismatches, reporting the first.
+ */
+std::uint64_t
+geometricMismatches(const GeometricDist &dist, double mean,
+                    std::uint64_t lo, std::uint64_t hi)
+{
+    constexpr std::uint64_t top = (std::uint64_t(1) << 53) - 1;
+    hi = std::min(hi, top);
+    std::uint64_t bad = 0;
+    for (std::uint64_t m = lo; m <= hi; ++m) {
+        std::uint64_t want = mean <= 0.0 ? 0 : refGeometricAt(m * 0x1.0p-53,
+                                                              mean);
+        std::uint64_t got = dist.draw(m);
+        if (got != want && bad++ == 0)
+            ADD_FAILURE() << "mean " << mean << " m " << m << ": draw "
+                          << got << ", reference " << want;
+    }
+    return bad;
+}
 
 } // namespace
 
@@ -229,11 +275,20 @@ INSTANTIATE_TEST_SUITE_P(Bounds, RngBoundSweep,
                                            1024, 1u << 20));
 
 // GeometricDist and Rng::geometric draw for draw equal to the old
-// formula, and consume the same number of raw values.
+// formula, and consume the same number of raw values. The table's
+// answers are checked where they could go wrong: at every m within
+// 2 * band of each threshold, at every bucket edge, at both ends of
+// [0, 2^53) and at 2^20 random m.
 TEST(RngDist, GeometricMatchesReference)
 {
-    for (double mean : {0.0, -0.0, -1.0, -1e-300, 1e-9, 0.5, 1.0, 3.0,
-                        15.0, 63.0, 1e3, 1e6, 1e12, 1e15}) {
+    std::vector<double> means = {0.0, -0.0, -1.0, -1e-300, 1e-9, 0.5,
+                                 1.0, 3.0, 15.0, 63.0, 1e3, 1e6, 1e12,
+                                 1e15};
+    for (double mean : profileGapMeans())
+        means.push_back(mean);
+    constexpr std::uint64_t w = GeometricDist::band;
+    constexpr int shift = 53 - GeometricDist::bucketBits;
+    for (double mean : means) {
         GeometricDist dist(mean);
         Rng a(11), b(11), c(11);
         for (int i = 0; i < exactDraws; ++i) {
@@ -244,7 +299,62 @@ TEST(RngDist, GeometricMatchesReference)
         std::uint64_t after = c.next();
         EXPECT_EQ(a.next(), after) << "mean " << mean;
         EXPECT_EQ(b.next(), after) << "mean " << mean;
+
+        std::uint64_t bad = 0;
+        for (std::uint64_t t : dist.thresholds())
+            bad += geometricMismatches(dist, mean, t > 2 * w ? t - 2 * w : 0,
+                                       t + 2 * w);
+        for (std::uint64_t e = 1; e < (std::uint64_t(1) << 53) >> shift;
+             ++e)
+            bad += geometricMismatches(dist, mean, (e << shift) - 1,
+                                       e << shift);
+        bad += geometricMismatches(dist, mean, 0, 0);
+        bad += geometricMismatches(dist, mean, (std::uint64_t(1) << 53) - 1,
+                                   (std::uint64_t(1) << 53) - 1);
+        Rng r(97);
+        for (int i = 0; i < (1 << 20); ++i) {
+            std::uint64_t m = r.bits53();
+            bad += geometricMismatches(dist, mean, m, m);
+        }
+        EXPECT_EQ(bad, 0u) << "mean " << mean;
     }
+}
+
+// The table answers nearly every draw on the means the generator
+// uses. A silently empty table would still draw exactly.
+TEST(RngDist, GeometricTableResolvesProfileDraws)
+{
+    for (double mean : profileGapMeans()) {
+        GeometricDist dist(mean);
+        auto t = dist.thresholds();
+        ASSERT_FALSE(t.empty()) << "mean " << mean;
+        EXPECT_TRUE(std::is_sorted(t.begin(), t.end())) << "mean " << mean;
+        Rng r(5);
+        const int n = 1 << 20;
+        int evaluated = 0;
+        for (int i = 0; i < n; ++i)
+            evaluated += dist.fromTable(r.bits53()) ==
+                         GeometricDist::notInTable;
+        EXPECT_LT(evaluated, n / 1000) << "mean " << mean;
+    }
+}
+
+// Thresholds are the least m where the draw reaches k, and a copied
+// distribution draws what the original does.
+TEST(RngDist, GeometricThresholdsAreFirstReach)
+{
+    GeometricDist dist(3.0);
+    auto t = dist.thresholds();
+    ASSERT_FALSE(t.empty());
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        std::uint64_t k = i + 1;
+        EXPECT_GE(GeometricDist::invert(t[i], std::log(0.75)), k);
+        EXPECT_LT(GeometricDist::invert(t[i] - 1, std::log(0.75)), k);
+    }
+    GeometricDist copy = dist;
+    Rng a(3), b(3);
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(copy(a), dist(b));
 }
 
 TEST(RngDist, ZipfMatchesReference)
