@@ -28,7 +28,6 @@ namespace tlsim
 namespace repro
 {
 
-using harness::DesignKind;
 using harness::RunResult;
 using harness::sweep::RunSpec;
 
@@ -48,26 +47,16 @@ defaultRunConfig()
 namespace
 {
 
-RunSpec
-makeSpec(DesignKind design, const std::string &bench,
-         const harness::SystemConfig &base)
-{
-    RunSpec spec;
-    spec.benchmark = bench;
-    spec.config = base;
-    spec.config.design = harness::designName(design);
-    return spec;
-}
-
 /** design x benchmark cross product over all 12 paper benchmarks. */
 std::vector<RunSpec>
-crossSpecs(const std::vector<DesignKind> &designs,
+crossSpecs(const std::vector<std::string> &designs,
            const harness::SystemConfig &base)
 {
     std::vector<RunSpec> specs;
     for (const auto &bench : paperdata::benchmarks)
-        for (DesignKind design : designs)
-            specs.push_back(makeSpec(design, bench, base));
+        for (const auto &design : designs)
+            specs.push_back(
+                harness::sweep::makeRunSpec(design, bench, base));
     return specs;
 }
 
@@ -76,8 +65,7 @@ crossSpecs(const std::vector<DesignKind> &designs,
 std::vector<RunSpec>
 table6Specs(const harness::SystemConfig &base)
 {
-    return crossSpecs({DesignKind::TlcBase, DesignKind::Dnuca},
-                      base);
+    return crossSpecs({"TLC", "DNUCA"}, base);
 }
 
 void
@@ -91,8 +79,8 @@ table6Render(std::ostream &os, const ResultLookup &lookup)
                      "DNUCA pred% (paper)"});
 
     for (const auto &row : paperdata::table6) {
-        const auto &tlc = lookup(DesignKind::TlcBase, row.bench);
-        const auto &dnuca = lookup(DesignKind::Dnuca, row.bench);
+        const auto &tlc = lookup("TLC", row.bench);
+        const auto &dnuca = lookup("DNUCA", row.bench);
         table.addRow({
             row.bench,
             TextTable::num(tlc.l2RequestsPer1k, 1) + " (" +
@@ -120,8 +108,7 @@ table6Render(std::ostream &os, const ResultLookup &lookup)
 std::vector<RunSpec>
 table9Specs(const harness::SystemConfig &base)
 {
-    return crossSpecs({DesignKind::TlcBase, DesignKind::Dnuca},
-                      base);
+    return crossSpecs({"TLC", "DNUCA"}, base);
 }
 
 void
@@ -133,8 +120,8 @@ table9Render(std::ostream &os, const ResultLookup &lookup)
 
     double dnuca_sum = 0.0, tlc_sum = 0.0;
     for (const auto &row : paperdata::table9) {
-        const auto &tlc = lookup(DesignKind::TlcBase, row.bench);
-        const auto &dnuca = lookup(DesignKind::Dnuca, row.bench);
+        const auto &tlc = lookup("TLC", row.bench);
+        const auto &dnuca = lookup("DNUCA", row.bench);
         table.addRow({
             row.bench,
             TextTable::num(dnuca.banksPerRequest, 1) + " (" +
@@ -161,9 +148,7 @@ table9Render(std::ostream &os, const ResultLookup &lookup)
 std::vector<RunSpec>
 fig5Specs(const harness::SystemConfig &base)
 {
-    return crossSpecs({DesignKind::Snuca2, DesignKind::Dnuca,
-                       DesignKind::TlcBase},
-                      base);
+    return crossSpecs({"SNUCA2", "DNUCA", "TLC"}, base);
 }
 
 void
@@ -174,9 +159,9 @@ fig5Render(std::ostream &os, const ResultLookup &lookup)
     table.setHeader({"Bench", "DNUCA", "TLC"});
 
     for (const auto &row : paperdata::fig5) {
-        const auto &snuca = lookup(DesignKind::Snuca2, row.bench);
-        const auto &dnuca = lookup(DesignKind::Dnuca, row.bench);
-        const auto &tlc = lookup(DesignKind::TlcBase, row.bench);
+        const auto &snuca = lookup("SNUCA2", row.bench);
+        const auto &dnuca = lookup("DNUCA", row.bench);
+        const auto &tlc = lookup("TLC", row.bench);
         double base = static_cast<double>(snuca.cycles);
         table.addRow({
             row.bench,
@@ -198,8 +183,7 @@ fig5Render(std::ostream &os, const ResultLookup &lookup)
 std::vector<RunSpec>
 fig6Specs(const harness::SystemConfig &base)
 {
-    return crossSpecs({DesignKind::Dnuca, DesignKind::TlcBase},
-                      base);
+    return crossSpecs({"DNUCA", "TLC"}, base);
 }
 
 void
@@ -211,8 +195,8 @@ fig6Render(std::ostream &os, const ResultLookup &lookup)
 
     double tlc_lo = 1e9, tlc_hi = 0.0, dnuca_lo = 1e9, dnuca_hi = 0.0;
     for (const auto &row : paperdata::fig6) {
-        const auto &dnuca = lookup(DesignKind::Dnuca, row.bench);
-        const auto &tlc = lookup(DesignKind::TlcBase, row.bench);
+        const auto &dnuca = lookup("DNUCA", row.bench);
+        const auto &tlc = lookup("TLC", row.bench);
         table.addRow({
             row.bench,
             TextTable::num(dnuca.meanLookupLatency, 1) + " (" +
@@ -252,15 +236,15 @@ fig7Render(std::ostream &os, const ResultLookup &lookup)
     double base_max = 0.0, opt350_max = 0.0;
     for (const auto &bench : paperdata::benchmarks) {
         std::vector<std::string> row{bench};
-        for (DesignKind kind : harness::tlcFamily()) {
-            const auto &result = lookup(kind, bench);
+        for (const auto &design : harness::tlcFamily()) {
+            const auto &result = lookup(design, bench);
             row.push_back(
                 TextTable::num(result.linkUtilizationPct, 2));
-            if (kind == DesignKind::TlcBase) {
+            if (design == "TLC") {
                 base_max = std::max(base_max,
                                     result.linkUtilizationPct);
             }
-            if (kind == DesignKind::TlcOpt350) {
+            if (design == "TLCopt350") {
                 opt350_max = std::max(opt350_max,
                                       result.linkUtilizationPct);
             }
@@ -293,18 +277,17 @@ fig8Render(std::ostream &os, const ResultLookup &lookup)
 
     double worst = 0.0;
     for (const auto &bench : paperdata::benchmarks) {
-        const auto &base = lookup(DesignKind::TlcBase, bench);
+        const auto &base = lookup("TLC", bench);
         double base_cycles = static_cast<double>(base.cycles);
         std::vector<std::string> row{bench, "1.000"};
-        for (DesignKind kind :
-             {DesignKind::TlcOpt1000, DesignKind::TlcOpt500,
-              DesignKind::TlcOpt350}) {
-            const auto &result = lookup(kind, bench);
+        for (const char *design :
+             {"TLCopt1000", "TLCopt500", "TLCopt350"}) {
+            const auto &result = lookup(design, bench);
             double norm = result.cycles / base_cycles;
             worst = std::max(worst, norm);
             row.push_back(TextTable::num(norm, 3));
         }
-        const auto &opt350 = lookup(DesignKind::TlcOpt350, bench);
+        const auto &opt350 = lookup("TLCopt350", bench);
         row.push_back(TextTable::num(opt350.multiMatchPct, 2));
         table.addRow(row);
     }

@@ -43,7 +43,7 @@ harness::SystemConfig defaultRunConfig();
 
 /** Resolves one (design, benchmark) cell to its completed result. */
 using ResultLookup = std::function<const harness::RunResult &(
-    harness::DesignKind, const std::string &)>;
+    const std::string &design, const std::string &benchmark)>;
 
 /** One reproducible table/figure of the paper's evaluation. */
 struct Experiment

@@ -801,13 +801,12 @@ reproMain(int argc, char **argv)
     for (std::size_t i = 0; i < specs.size(); ++i)
         index[{specs[i].config.design, specs[i].benchmark}] = i;
     ResultLookup lookup =
-        [&](harness::DesignKind design,
+        [&](const std::string &design,
             const std::string &bench) -> const harness::RunResult & {
-        auto it = index.find({harness::designName(design), bench});
+        auto it = index.find({design, bench});
         if (it == index.end())
             panic("experiment requested a run outside its spec list: "
-                  "{}/{}",
-                  harness::designName(design), bench);
+                  "{}/{}", design, bench);
         return outcome.results[it->second];
     };
 

@@ -6,9 +6,16 @@
  */
 
 #include "repro/reprocli.hh"
+#include "sim/logging.hh"
 
 int
 main(int argc, char **argv)
 {
-    return tlsim::repro::reproMain(argc, argv);
+    try {
+        return tlsim::repro::reproMain(argc, argv);
+    } catch (const tlsim::FatalError &) {
+        // Bad input: fatal() has already printed the message. A
+        // PanicError (a simulator bug) still propagates and aborts.
+        return 1;
+    }
 }

@@ -14,7 +14,6 @@
 #include "sim/trace/options.hh"
 
 using namespace tlsim;
-using harness::DesignKind;
 
 int
 main(int argc, char **argv)
@@ -31,13 +30,13 @@ main(int argc, char **argv)
                      "Net power [mW]"});
 
     double base_cycles = 0.0;
-    for (DesignKind kind : {DesignKind::Snuca2, DesignKind::Dnuca,
-                            DesignKind::TlcBase}) {
-        std::cerr << "  running " << harness::designName(kind)
-                  << "...\n";
-        auto result = harness::runBenchmark(kind, profile, 1'000'000,
-                                            instructions, 0,
-                                            100'000'000);
+    for (const char *design : {"SNUCA2", "DNUCA", "TLC"}) {
+        std::cerr << "  running " << design << "...\n";
+        auto result = harness::runBenchmark({.design = design,
+                                             .functionalWarm = 100'000'000,
+                                             .warmup = 1'000'000,
+                                             .measure = instructions},
+                                            profile);
         if (base_cycles == 0.0)
             base_cycles = static_cast<double>(result.cycles);
         table.addRow({result.design, TextTable::num(result.ipc, 3),

@@ -32,14 +32,16 @@ main(int argc, char **argv)
                      "Cycles (norm)"});
 
     double base_cycles = 0.0;
-    for (harness::DesignKind kind : harness::tlcFamily()) {
-        std::cerr << "  running " << harness::designName(kind)
-                  << "...\n";
-        auto result = harness::runBenchmark(kind, profile, 500'000,
-                                            2'000'000, 0, 50'000'000);
-        // Rebuild the config/floorplan for the static facts.
-        tlc::TlcConfig cfg =
-            tlc::configByName(harness::designName(kind));
+    for (const tlc::TlcConfig &cfg :
+         {tlc::baseTlc(), tlc::tlcOpt1000(), tlc::tlcOpt500(),
+          tlc::tlcOpt350()}) {
+        std::cerr << "  running " << cfg.name << "...\n";
+        auto result = harness::runBenchmark({.design = cfg.name,
+                                             .functionalWarm = 50'000'000,
+                                             .warmup = 500'000,
+                                             .measure = 2'000'000},
+                                            profile);
+        // The floorplan and an unwarmed probe give the static facts.
         tlc::TlcFloorplan floorplan(phys::tech45(), cfg);
         EventQueue eq;
         stats::StatGroup root("root");

@@ -52,10 +52,12 @@ main(int argc, char **argv)
         sampler.reset();
         obs.dumpFinalStats(sys.root());
     };
-    harness::RunResult result = harness::runBenchmark(
-        harness::DesignKind::TlcBase, profile,
-        /*warm_instructions=*/1'000'000, instructions,
-        /*run_seed=*/0, /*functional_warm=*/50'000'000, &observer);
+    harness::RunResult result =
+        harness::runBenchmark({.design = "TLC",
+                               .functionalWarm = 50'000'000,
+                               .warmup = 1'000'000,
+                               .measure = instructions},
+                              profile, /*run_seed=*/0, &observer);
 
     // 3. Read out the metrics the paper's evaluation is built from.
     TextTable table("Quickstart: " + bench + " on the base TLC");

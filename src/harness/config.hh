@@ -75,7 +75,9 @@ struct L1Config
  *
  * Defaults reproduce the paper's single-core 45 nm machine exactly;
  * runBenchmark() with a default-constructed config is bit-identical
- * to the pre-config hard-wired builder.
+ * to the pre-config hard-wired builder. Every member has a default
+ * initializer, so a designated initializer names only what differs:
+ * `{.design = "DNUCA", .measure = 50'000}`.
  */
 struct SystemConfig
 {
@@ -89,7 +91,7 @@ struct SystemConfig
     int technologyNm = 45;
 
     /** Per-core microarchitecture (identical across cores). */
-    cpu::CoreConfig core;
+    cpu::CoreConfig core{};
 
     /** Instruction L1 (4 MSHRs: the in-order frontend needs few). */
     L1Config l1i{64 * 1024, 2, 3, 4};
@@ -98,10 +100,10 @@ struct SystemConfig
     L1Config l1d{64 * 1024, 2, 3, 8};
 
     /** Design-specific L2 overrides (e.g. "lineErrorRate": 1e-12). */
-    l2::DesignOptions l2Options;
+    l2::DesignOptions l2Options{};
 
     /** Main-memory backend and its options (machine identity). */
-    MemConfig mem;
+    MemConfig mem{};
 
     /** Functional warmup budget [instructions]. */
     std::uint64_t functionalWarm = defaultFunctionalWarmup;
@@ -124,7 +126,7 @@ struct SystemConfig
      * every hash bit-identical to configs predating the fault
      * subsystem, so existing cache entries stay valid.
      */
-    fault::FaultConfig fault;
+    fault::FaultConfig fault{};
 
     bool operator==(const SystemConfig &) const = default;
 

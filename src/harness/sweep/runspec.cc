@@ -11,11 +11,13 @@ namespace sweep
 {
 
 RunSpec
-makeRunSpec(DesignKind design, const std::string &benchmark)
+makeRunSpec(const std::string &design, const std::string &benchmark,
+            const SystemConfig &base)
 {
     RunSpec spec;
     spec.benchmark = benchmark;
-    spec.config.design = designName(design);
+    spec.config = base;
+    spec.config.design = design;
     return spec;
 }
 

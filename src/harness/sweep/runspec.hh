@@ -52,8 +52,13 @@ struct RunSpec
     bool operator==(const RunSpec &other) const = default;
 };
 
-/** Convenience: spec for a paper design with default machine. */
-RunSpec makeRunSpec(DesignKind design, const std::string &benchmark);
+/**
+ * Spec for @p design (a registry name) on @p benchmark, seed 0, on
+ * the machine and budgets of @p base (whose design it replaces).
+ */
+RunSpec makeRunSpec(const std::string &design,
+                    const std::string &benchmark,
+                    const SystemConfig &base = {});
 
 /**
  * Canonical human-readable identity of a spec, e.g.

@@ -20,58 +20,23 @@ namespace tlsim
 namespace harness
 {
 
-const std::vector<DesignKind> &
+const std::vector<std::string> &
 allDesigns()
 {
-    static const std::vector<DesignKind> designs = {
-        DesignKind::Snuca2,     DesignKind::Dnuca,
-        DesignKind::TlcBase,    DesignKind::TlcOpt1000,
-        DesignKind::TlcOpt500,  DesignKind::TlcOpt350,
+    static const std::vector<std::string> designs = {
+        "SNUCA2", "DNUCA", "TLC", "TLCopt1000", "TLCopt500", "TLCopt350",
     };
     return designs;
 }
 
-const std::vector<DesignKind> &
+const std::vector<std::string> &
 tlcFamily()
 {
-    static const std::vector<DesignKind> designs = {
-        DesignKind::TlcBase, DesignKind::TlcOpt1000,
-        DesignKind::TlcOpt500, DesignKind::TlcOpt350,
-    };
+    // allDesigns() without SNUCA2 and DNUCA.
+    static const std::vector<std::string> designs(
+        allDesigns().begin() + 2, allDesigns().end());
     return designs;
 }
-
-std::string
-designName(DesignKind kind)
-{
-    // The compat shim's whole job: map the legacy enum onto registry
-    // names. The designs themselves (and their factories) own the
-    // names; this table is validated against the registry below.
-    static const char *const names[] = {
-        "SNUCA2", "DNUCA", "TLC", "TLCopt1000", "TLCopt500",
-        "TLCopt350",
-    };
-    auto idx = static_cast<std::size_t>(kind);
-    TLSIM_ASSERT(idx < std::size(names), "unknown design kind");
-    TLSIM_ASSERT(l2::Registry::known(names[idx]),
-                 "paper design '{}' missing from the registry",
-                 names[idx]);
-    return names[idx];
-}
-
-namespace
-{
-
-SystemConfig
-configFor(DesignKind kind, const cpu::CoreConfig &core_config)
-{
-    SystemConfig config;
-    config.design = designName(kind);
-    config.core = core_config;
-    return config;
-}
-
-} // namespace
 
 void
 WarmOpStream::Unmap::operator()(std::uint8_t *chunk) const
@@ -162,10 +127,6 @@ System::System(const SystemConfig &config,
         cores.push_back(std::move(slot));
     }
 }
-
-System::System(DesignKind kind, const cpu::CoreConfig &core_config)
-    : System(configFor(kind, core_config))
-{}
 
 System::~System() = default;
 
@@ -577,20 +538,6 @@ extractRunResult(System &system, std::uint64_t cycles,
     result.faultMean = l2.faultLatency.mean();
     result.faultSamples = l2.faultLatency.count();
     return result;
-}
-
-RunResult
-runBenchmark(DesignKind kind, const workload::BenchmarkProfile &profile,
-             std::uint64_t warm_instructions,
-             std::uint64_t measure_instructions, std::uint64_t run_seed,
-             std::uint64_t functional_warm, const RunObserver *observer)
-{
-    SystemConfig config;
-    config.design = designName(kind);
-    config.warmup = warm_instructions;
-    config.measure = measure_instructions;
-    config.functionalWarm = functional_warm;
-    return runBenchmark(config, profile, run_seed, observer);
 }
 
 } // namespace harness

@@ -32,33 +32,13 @@ namespace harness
 {
 
 /**
- * The six cache designs compared in the paper.
- *
- * Compatibility shim: new code should pass registry names through
- * SystemConfig::design; the enum survives so the repro experiment
- * tables can enumerate the paper's designs.
+ * Registry names of the six L2 designs compared in the paper, in
+ * paper order: SNUCA2, DNUCA, TLC, TLCopt1000, TLCopt500, TLCopt350.
  */
-enum class DesignKind
-{
-    Snuca2,
-    Dnuca,
-    TlcBase,
-    TlcOpt1000,
-    TlcOpt500,
-    TlcOpt350,
-};
+const std::vector<std::string> &allDesigns();
 
-/** All designs, in paper order. */
-const std::vector<DesignKind> &allDesigns();
-
-/** The TLC family only (Figures 7 and 8). */
-const std::vector<DesignKind> &tlcFamily();
-
-/**
- * Registry name of a paper design (the compat shim's name table; the
- * registered designs themselves are the source of truth).
- */
-std::string designName(DesignKind kind);
+/** The TLC family only (Figures 7 and 8), in paper order. */
+const std::vector<std::string> &tlcFamily();
 
 /**
  * An ordered stream of L2 functional ops (block address, access
@@ -223,10 +203,6 @@ class System
      */
     explicit System(const SystemConfig &config,
                     std::uint64_t fault_stream_seed = 0);
-
-    /** Compat: single-core machine with a paper design. */
-    explicit System(DesignKind kind,
-                    const cpu::CoreConfig &core_config = {});
 
     ~System();
 
@@ -505,16 +481,6 @@ RunResult runBenchmark(const SystemConfig &config,
                        std::uint64_t run_seed,
                        const RunObserver *observer, WarmImage &image,
                        WarmImageUse use);
-
-/** Compat wrapper: single-core run of a paper design. */
-RunResult runBenchmark(DesignKind kind,
-                       const workload::BenchmarkProfile &profile,
-                       std::uint64_t warm_instructions,
-                       std::uint64_t measure_instructions,
-                       std::uint64_t run_seed = 0,
-                       std::uint64_t functional_warm =
-                           defaultFunctionalWarmup,
-                       const RunObserver *observer = nullptr);
 
 } // namespace harness
 } // namespace tlsim

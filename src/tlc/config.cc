@@ -1,7 +1,5 @@
 #include "tlc/config.hh"
 
-#include "sim/logging.hh"
-
 namespace tlsim
 {
 namespace tlc
@@ -62,20 +60,6 @@ tlcOpt350()
     cfg.downBits = 20;
     cfg.upBits = 24;
     return cfg;
-}
-
-TlcConfig
-configByName(const std::string &name)
-{
-    if (name == "TLC")
-        return baseTlc();
-    if (name == "TLCopt1000")
-        return tlcOpt1000();
-    if (name == "TLCopt500")
-        return tlcOpt500();
-    if (name == "TLCopt350")
-        return tlcOpt350();
-    fatal("unknown TLC design '{}'", name);
 }
 
 } // namespace tlc

@@ -79,12 +79,6 @@ TlcConfig tlcOpt500();
 /** TLCopt 350: 16 x 1 MB banks, 8 banks/block, 352 lines. */
 TlcConfig tlcOpt350();
 
-/**
- * Look up a family preset by its design name ("TLC", "TLCopt1000",
- * "TLCopt500", "TLCopt350"). Fatal error for other names.
- */
-TlcConfig configByName(const std::string &name);
-
 } // namespace tlc
 } // namespace tlsim
 

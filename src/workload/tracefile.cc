@@ -139,15 +139,13 @@ decodeRecord(const std::vector<std::uint8_t> &bytes, std::uint64_t &off,
     if (kind == kindIFetch) {
         record.isIFetch = true;
         record.mispredict = (control & mispredictBit) != 0;
-        last_ifetch = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(last_ifetch) + unzigzag(delta));
+        last_ifetch += static_cast<std::uint64_t>(unzigzag(delta));
         record.blockAddr = last_ifetch;
     } else {
         record.type = kind == kindStore ? mem::AccessType::Store
                                         : mem::AccessType::Load;
         record.dependsOnPrev = (control & depBit) != 0;
-        last_data = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(last_data) + unzigzag(delta));
+        last_data += static_cast<std::uint64_t>(unzigzag(delta));
         record.blockAddr = last_data;
     }
     return record;
@@ -186,16 +184,16 @@ TraceFileWriter::append(const cpu::TraceRecord &record)
         control = kindIFetch;
         if (record.mispredict)
             control |= mispredictBit;
-        delta = zigzag(static_cast<std::int64_t>(record.blockAddr) -
-                       static_cast<std::int64_t>(lastIFetchAddr));
+        delta = zigzag(
+            static_cast<std::int64_t>(record.blockAddr - lastIFetchAddr));
         lastIFetchAddr = record.blockAddr;
     } else {
         control = record.type == mem::AccessType::Store ? kindStore
                                                         : kindLoad;
         if (record.dependsOnPrev)
             control |= depBit;
-        delta = zigzag(static_cast<std::int64_t>(record.blockAddr) -
-                       static_cast<std::int64_t>(lastDataAddr));
+        delta = zigzag(
+            static_cast<std::int64_t>(record.blockAddr - lastDataAddr));
         lastDataAddr = record.blockAddr;
     }
     if (record.gap < gapEscape) {
@@ -284,8 +282,10 @@ TraceFile::fromBytes(std::vector<std::uint8_t> raw,
     std::uint64_t index_count = getU64(bytes, 40);
     file.bodyBegin = tltHeaderBytes;
     file.bodyEnd = index_offset;
-    if (index_offset < tltHeaderBytes ||
-        index_offset + index_count * 40 > bytes.size())
+    // Offset and count are bounded separately: their sum or product
+    // could wrap.
+    if (index_offset < tltHeaderBytes || index_offset > bytes.size() ||
+        index_count > (bytes.size() - index_offset) / 40)
         fatal("tlt '{}': index extends past end of file", name);
     if (file.records == 0)
         fatal("tlt '{}': empty trace", name);
@@ -301,17 +301,35 @@ TraceFile::fromBytes(std::vector<std::uint8_t> raw,
         entry.lastIFetchAddr = getU64(bytes, off + 32);
         if (entry.byteOffset < file.bodyBegin ||
             entry.byteOffset >= file.bodyEnd ||
-            entry.recordIndex >= file.records)
+            entry.recordIndex >= file.records ||
+            (i > 0 &&
+             entry.recordIndex <= file.index.back().recordIndex))
             fatal("tlt '{}': corrupt index entry {}", name, i);
         file.index.push_back(entry);
     }
 
-    // Full validation decode: every record must parse and the header
-    // counts must match, so replay can trust the body blindly.
+    // Full validation decode: every record must parse, every index
+    // entry must hold the decoder's state at its record, and the
+    // header counts must match, so replay and seeks can trust the
+    // body and the index blindly. The entries rise strictly and stay
+    // below the header's record count, so a body that holds that
+    // count meets every one of them.
     std::uint64_t off = file.bodyBegin;
     std::uint64_t last_data = 0, last_ifetch = 0;
     std::uint64_t records = 0, instructions = 0;
+    std::size_t next_entry = 0;
     while (off < file.bodyEnd) {
+        if (next_entry < file.index.size() &&
+            file.index[next_entry].recordIndex == records) {
+            const TltIndexEntry &entry = file.index[next_entry];
+            if (entry.byteOffset != off ||
+                entry.instrIndex != instructions ||
+                entry.lastDataAddr != last_data ||
+                entry.lastIFetchAddr != last_ifetch)
+                fatal("tlt '{}': index entry {} does not match record "
+                      "{}", name, next_entry, records);
+            ++next_entry;
+        }
         cpu::TraceRecord record = decodeRecord(
             bytes, off, file.bodyEnd, last_data, last_ifetch, name);
         ++records;

@@ -33,7 +33,7 @@ namespace
 
 /** Tiny budgets so each fault run finishes in milliseconds. */
 sweep::RunSpec
-faultSpec(DesignKind design, const std::string &bench)
+faultSpec(const std::string &design, const std::string &bench)
 {
     sweep::RunSpec spec = sweep::makeRunSpec(design, bench);
     spec.config.warmup = 2'000;
@@ -201,8 +201,7 @@ TEST(FaultConfig, DefaultLeavesCanonicalKeyAndHashesUntouched)
     EXPECT_NE(faulty.machineHash(), config.machineHash());
 
     // Spec keys follow: a faulty machine is a non-default machine.
-    sweep::RunSpec plain = sweep::makeRunSpec(DesignKind::TlcBase,
-                                              "gcc");
+    sweep::RunSpec plain = sweep::makeRunSpec("TLC", "gcc");
     sweep::RunSpec injected = plain;
     injected.config.fault = faulty.fault;
     EXPECT_EQ(sweep::specKey(plain).find("/c"), std::string::npos);
@@ -246,7 +245,7 @@ TEST(FaultConfig, LoadsConfigsWrittenBeforeFaultSubsystem)
 
 TEST(FaultRun, BitErrorsDriveRetriesAndFaultLatency)
 {
-    sweep::RunSpec spec = faultSpec(DesignKind::TlcBase, "gcc");
+    sweep::RunSpec spec = faultSpec("TLC", "gcc");
     spec.config.fault.enabled = true;
     spec.config.fault.bitErrorRate = 0.02;
     auto outcome = sweep::runSweep({spec}, quietSweep(1));
@@ -263,7 +262,7 @@ TEST(FaultRun, DeadLinkDegradesInsteadOfHanging)
     // Kill pair 0's down link (id 0) from t=0: every group whose
     // members ride pair 0 must fall back to the RC path and the run
     // still completes with zero watchdog firings.
-    sweep::RunSpec spec = faultSpec(DesignKind::TlcBase, "gcc");
+    sweep::RunSpec spec = faultSpec("TLC", "gcc");
     spec.config.fault.enabled = true;
     spec.config.fault.deadLinks = "0@0";
     auto outcome = sweep::runSweep({spec}, quietSweep(1));
@@ -276,7 +275,7 @@ TEST(FaultRun, DeadLinkDegradesInsteadOfHanging)
 
 TEST(FaultRun, MarginDerivedWeightsStayDeterministic)
 {
-    sweep::RunSpec spec = faultSpec(DesignKind::TlcOpt500, "mcf");
+    sweep::RunSpec spec = faultSpec("TLCopt500", "mcf");
     spec.config.fault.enabled = true;
     spec.config.fault.bitErrorRate = 0.01;
     spec.config.fault.deriveFromMargin = true;
@@ -294,11 +293,11 @@ TEST(FaultRun, ParallelAndWarmCacheMatchSerial)
     // fault sweep is deterministic across --jobs and cache state.
     std::vector<sweep::RunSpec> specs;
     for (const char *bench : {"gcc", "mcf", "apache"}) {
-        sweep::RunSpec spec = faultSpec(DesignKind::TlcBase, bench);
+        sweep::RunSpec spec = faultSpec("TLC", bench);
         spec.config.fault.enabled = true;
         spec.config.fault.bitErrorRate = 0.01;
         specs.push_back(spec);
-        sweep::RunSpec dead = faultSpec(DesignKind::Snuca2, bench);
+        sweep::RunSpec dead = faultSpec("SNUCA2", bench);
         dead.config.fault.enabled = true;
         dead.config.fault.bitErrorRate = 0.005;
         specs.push_back(dead);
@@ -334,7 +333,7 @@ TEST(FaultRun, CrashIsolatedSweepReportsFailureAndCachesSuccesses)
     // One healthy spec, one spec that panics during System build
     // (unknown design): the sweep completes, reports the failure, and
     // memoizes only the success.
-    sweep::RunSpec good = faultSpec(DesignKind::TlcBase, "gcc");
+    sweep::RunSpec good = faultSpec("TLC", "gcc");
     sweep::RunSpec bad = good;
     bad.config.design = "NoSuchDesign";
 

@@ -5,42 +5,51 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <sstream>
 
 #include "harness/system.hh"
+#include "mem/l2registry.hh"
 
 using namespace tlsim;
 using namespace tlsim::harness;
 
 TEST(Harness, AllSixDesignsBuild)
 {
-    for (DesignKind kind : allDesigns()) {
-        System system(kind);
-        EXPECT_EQ(system.l2().designName(), designName(kind));
+    for (const std::string &design : allDesigns()) {
+        EXPECT_TRUE(l2::Registry::known(design)) << design;
+        System system(SystemConfig{.design = design});
+        EXPECT_EQ(system.l2().designName(), design);
         EXPECT_GT(system.l2().linkCount(), 0);
     }
 }
 
 TEST(Harness, DesignNames)
 {
-    EXPECT_EQ(designName(DesignKind::Snuca2), "SNUCA2");
-    EXPECT_EQ(designName(DesignKind::Dnuca), "DNUCA");
-    EXPECT_EQ(designName(DesignKind::TlcBase), "TLC");
-    EXPECT_EQ(designName(DesignKind::TlcOpt350), "TLCopt350");
+    // Paper order.
+    EXPECT_EQ(allDesigns()[0], "SNUCA2");
+    EXPECT_EQ(allDesigns()[1], "DNUCA");
+    EXPECT_EQ(allDesigns()[2], "TLC");
+    EXPECT_EQ(allDesigns()[5], "TLCopt350");
 }
 
 TEST(Harness, TlcFamilyHasFourMembers)
 {
     EXPECT_EQ(tlcFamily().size(), 4u);
     EXPECT_EQ(allDesigns().size(), 6u);
+    EXPECT_TRUE(std::equal(tlcFamily().begin(), tlcFamily().end(),
+                           allDesigns().begin() + 2));
 }
 
 TEST(Harness, ShortRunProducesSaneMetrics)
 {
     const auto &profile = workload::profileByName("bzip");
-    RunResult result = runBenchmark(DesignKind::TlcBase, profile,
-                                    10'000, 50'000, 0, 500'000);
+    RunResult result = runBenchmark({.design = "TLC",
+                                     .functionalWarm = 500'000,
+                                     .warmup = 10'000,
+                                     .measure = 50'000},
+                                    profile);
     EXPECT_EQ(result.design, "TLC");
     EXPECT_EQ(result.benchmark, "bzip");
     EXPECT_GT(result.cycles, 0u);
@@ -55,10 +64,12 @@ TEST(Harness, ShortRunProducesSaneMetrics)
 TEST(Harness, SameSeedReproducible)
 {
     const auto &profile = workload::profileByName("perl");
-    RunResult a = runBenchmark(DesignKind::Snuca2, profile, 10'000,
-                               30'000, 7, 100'000);
-    RunResult b = runBenchmark(DesignKind::Snuca2, profile, 10'000,
-                               30'000, 7, 100'000);
+    SystemConfig config{.design = "SNUCA2",
+                        .functionalWarm = 100'000,
+                        .warmup = 10'000,
+                        .measure = 30'000};
+    RunResult a = runBenchmark(config, profile, 7);
+    RunResult b = runBenchmark(config, profile, 7);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.l2RequestsPer1k, b.l2RequestsPer1k);
     EXPECT_EQ(a.meanLookupLatency, b.meanLookupLatency);
@@ -67,8 +78,11 @@ TEST(Harness, SameSeedReproducible)
 TEST(Harness, DnucaMetricsPopulated)
 {
     const auto &profile = workload::profileByName("gcc");
-    RunResult result = runBenchmark(DesignKind::Dnuca, profile,
-                                    10'000, 50'000, 0, 2'000'000);
+    RunResult result = runBenchmark({.design = "DNUCA",
+                                     .functionalWarm = 2'000'000,
+                                     .warmup = 10'000,
+                                     .measure = 50'000},
+                                    profile);
     EXPECT_GT(result.closeHitPct, 0.0);
     EXPECT_GE(result.promotesPerInsert, 0.0);
 }
@@ -76,18 +90,24 @@ TEST(Harness, DnucaMetricsPopulated)
 TEST(Harness, FunctionalWarmReducesColdMisses)
 {
     const auto &profile = workload::profileByName("bzip");
-    RunResult cold = runBenchmark(DesignKind::TlcBase, profile, 0,
-                                  50'000, 0, 0);
-    RunResult warm = runBenchmark(DesignKind::TlcBase, profile, 0,
-                                  50'000, 0, 5'000'000);
+    SystemConfig config{.design = "TLC",
+                        .functionalWarm = 0,
+                        .warmup = 0,
+                        .measure = 50'000};
+    RunResult cold = runBenchmark(config, profile);
+    config.functionalWarm = 5'000'000;
+    RunResult warm = runBenchmark(config, profile);
     EXPECT_LT(warm.l2MissesPer1k, cold.l2MissesPer1k);
 }
 
 TEST(Harness, TlcLookupLatencyNear13)
 {
     const auto &profile = workload::profileByName("perl");
-    RunResult result = runBenchmark(DesignKind::TlcBase, profile,
-                                    10'000, 50'000, 0, 1'000'000);
+    RunResult result = runBenchmark({.design = "TLC",
+                                     .functionalWarm = 1'000'000,
+                                     .warmup = 10'000,
+                                     .measure = 50'000},
+                                    profile);
     // Figure 6: TLC holds ~13 cycles.
     EXPECT_GT(result.meanLookupLatency, 10.0);
     EXPECT_LT(result.meanLookupLatency, 17.0);
@@ -95,7 +115,7 @@ TEST(Harness, TlcLookupLatencyNear13)
 
 TEST(Harness, StatsResetBetweenPhases)
 {
-    System system(DesignKind::TlcBase);
+    System system(SystemConfig{.design = "TLC"});
     workload::TraceGenerator gen(workload::profileByName("bzip"), 0);
     system.core().run(gen, 20'000);
     system.beginMeasurement();
@@ -107,10 +127,10 @@ namespace
 {
 
 SystemConfig
-warmShareConfig(DesignKind kind, int cores)
+warmShareConfig(const std::string &design, int cores)
 {
     SystemConfig config;
-    config.design = designName(kind);
+    config.design = design;
     config.cores = cores;
     config.functionalWarm = 200'000;
     config.warmup = 5'000;
@@ -160,8 +180,8 @@ TEST(WarmShare, L1StateAndOpStreamAreDesignIndependent)
     for (int cores : {1, 2}) {
         std::optional<WarmImage> first;
         std::string first_l1_bytes;
-        for (DesignKind kind : allDesigns()) {
-            SystemConfig config = warmShareConfig(kind, cores);
+        for (const std::string &design : allDesigns()) {
+            SystemConfig config = warmShareConfig(design, cores);
             WarmImage image;
             runBenchmark(config, profile, 11, nullptr, image,
                          WarmImageUse::Record);
@@ -187,8 +207,7 @@ TEST(WarmShare, L1StateAndOpStreamAreDesignIndependent)
                 first_l1_bytes = l1_bytes.str();
                 continue;
             }
-            std::string where =
-                designName(kind) + " cores=" + std::to_string(cores);
+            std::string where = design + " cores=" + std::to_string(cores);
             EXPECT_EQ(l1_bytes.str(), first_l1_bytes) << where;
             EXPECT_EQ(image.l1State, first->l1State) << where;
             EXPECT_EQ(image.ops, first->ops) << where;
@@ -208,17 +227,16 @@ TEST(WarmShare, ReplayMatchesOwnWarm)
     for (int cores : {1, 2}) {
         WarmImage image;
         std::string ignored;
-        runWithStats(warmShareConfig(DesignKind::Dnuca, cores), profile,
-                     ignored, &image, WarmImageUse::Record);
-        for (DesignKind kind : allDesigns()) {
-            SystemConfig config = warmShareConfig(kind, cores);
+        runWithStats(warmShareConfig("DNUCA", cores), profile, ignored,
+                     &image, WarmImageUse::Record);
+        for (const std::string &design : allDesigns()) {
+            SystemConfig config = warmShareConfig(design, cores);
             std::string own_stats, replay_stats;
             RunResult own = runWithStats(config, profile, own_stats);
             RunResult replayed = runWithStats(
                 config, profile, replay_stats, &image,
                 WarmImageUse::Replay);
-            std::string where =
-                designName(kind) + " cores=" + std::to_string(cores);
+            std::string where = design + " cores=" + std::to_string(cores);
             EXPECT_EQ(own.cycles, replayed.cycles) << where;
             EXPECT_EQ(own.l2MissesPer1k, replayed.l2MissesPer1k)
                 << where;

@@ -17,11 +17,14 @@ namespace
 {
 
 RunResult
-quickRun(DesignKind kind, const char *bench,
+quickRun(const char *design, const char *bench,
          std::uint64_t measure = 200'000)
 {
-    return runBenchmark(kind, workload::profileByName(bench), 20'000,
-                        measure, 0, 3'000'000);
+    return runBenchmark({.design = design,
+                         .functionalWarm = 3'000'000,
+                         .warmup = 20'000,
+                         .measure = measure},
+                        workload::profileByName(bench));
 }
 
 } // namespace
@@ -30,9 +33,9 @@ TEST(Integration, SameTrafficAcrossDesigns)
 {
     // All designs see the same trace, so demand request rates agree
     // to within L1-noise.
-    auto tlc = quickRun(DesignKind::TlcBase, "gcc");
-    auto snuca = quickRun(DesignKind::Snuca2, "gcc");
-    auto dnuca = quickRun(DesignKind::Dnuca, "gcc");
+    auto tlc = quickRun("TLC", "gcc");
+    auto snuca = quickRun("SNUCA2", "gcc");
+    auto dnuca = quickRun("DNUCA", "gcc");
     EXPECT_NEAR(tlc.l2RequestsPer1k, snuca.l2RequestsPer1k,
                 0.05 * tlc.l2RequestsPer1k);
     EXPECT_NEAR(tlc.l2RequestsPer1k, dnuca.l2RequestsPer1k,
@@ -43,8 +46,8 @@ TEST(Integration, TlcAndSnucaSameMissRates)
 {
     // Identical storage organisation (32 x 512 KB, 4-way LRU): the
     // designs differ only in interconnect, so misses match exactly.
-    auto tlc = quickRun(DesignKind::TlcBase, "equake");
-    auto snuca = quickRun(DesignKind::Snuca2, "equake");
+    auto tlc = quickRun("TLC", "equake");
+    auto snuca = quickRun("SNUCA2", "equake");
     EXPECT_NEAR(tlc.l2MissesPer1k, snuca.l2MissesPer1k,
                 0.02 * (tlc.l2MissesPer1k + 1e-9) + 1e-9);
 }
@@ -53,8 +56,8 @@ TEST(Integration, TlcFasterThanSnuca)
 {
     // Figure 5's main effect: TLC's 10-16 cycle window beats
     // SNUCA2's 8-32 spectrum for cache-resident workloads.
-    auto tlc = quickRun(DesignKind::TlcBase, "mcf", 300'000);
-    auto snuca = quickRun(DesignKind::Snuca2, "mcf", 300'000);
+    auto tlc = quickRun("TLC", "mcf", 300'000);
+    auto snuca = quickRun("SNUCA2", "mcf", 300'000);
     EXPECT_LT(tlc.cycles, snuca.cycles);
     EXPECT_LT(tlc.meanLookupLatency, snuca.meanLookupLatency);
 }
@@ -63,10 +66,10 @@ TEST(Integration, TlcLatencyMoreConsistentThanDnuca)
 {
     // Figure 6's claim: TLC's mean lookup latency stays near 13
     // across benchmarks while DNUCA's swings.
-    auto tlc_a = quickRun(DesignKind::TlcBase, "perl");
-    auto tlc_b = quickRun(DesignKind::TlcBase, "mcf", 300'000);
-    auto dnuca_a = quickRun(DesignKind::Dnuca, "perl");
-    auto dnuca_b = quickRun(DesignKind::Dnuca, "mcf", 300'000);
+    auto tlc_a = quickRun("TLC", "perl");
+    auto tlc_b = quickRun("TLC", "mcf", 300'000);
+    auto dnuca_a = quickRun("DNUCA", "perl");
+    auto dnuca_b = quickRun("DNUCA", "mcf", 300'000);
     double tlc_spread =
         std::abs(tlc_a.meanLookupLatency - tlc_b.meanLookupLatency);
     double dnuca_spread = std::abs(dnuca_a.meanLookupLatency -
@@ -77,16 +80,16 @@ TEST(Integration, TlcLatencyMoreConsistentThanDnuca)
 TEST(Integration, TlcMorePredictableThanDnuca)
 {
     for (const char *bench : {"gcc", "apache"}) {
-        auto tlc = quickRun(DesignKind::TlcBase, bench);
-        auto dnuca = quickRun(DesignKind::Dnuca, bench);
+        auto tlc = quickRun("TLC", bench);
+        auto dnuca = quickRun("DNUCA", bench);
         EXPECT_GT(tlc.predictablePct, dnuca.predictablePct) << bench;
     }
 }
 
 TEST(Integration, TlcAccessesOneBankDnucaSeveral)
 {
-    auto tlc = quickRun(DesignKind::TlcBase, "gcc");
-    auto dnuca = quickRun(DesignKind::Dnuca, "gcc");
+    auto tlc = quickRun("TLC", "gcc");
+    auto dnuca = quickRun("DNUCA", "gcc");
     EXPECT_DOUBLE_EQ(tlc.banksPerRequest, 1.0);
     // Demand lookups probe >= 2 banks; writebacks touch 1, pulling
     // the blended mean slightly below 2 on store-heavy mixes.
@@ -95,16 +98,16 @@ TEST(Integration, TlcAccessesOneBankDnucaSeveral)
 
 TEST(Integration, OptDesignsUseFewerLinksMoreUtilization)
 {
-    auto base = quickRun(DesignKind::TlcBase, "swim");
-    auto opt = quickRun(DesignKind::TlcOpt350, "swim");
+    auto base = quickRun("TLC", "swim");
+    auto opt = quickRun("TLCopt350", "swim");
     EXPECT_GT(opt.linkUtilizationPct, base.linkUtilizationPct);
 }
 
 TEST(Integration, OptDesignPerformanceClose)
 {
     // Figure 8: the family performs within a few percent.
-    auto base = quickRun(DesignKind::TlcBase, "gcc", 300'000);
-    auto opt = quickRun(DesignKind::TlcOpt500, "gcc", 300'000);
+    auto base = quickRun("TLC", "gcc", 300'000);
+    auto opt = quickRun("TLCopt500", "gcc", 300'000);
     double ratio = static_cast<double>(opt.cycles) /
                    static_cast<double>(base.cycles);
     EXPECT_GT(ratio, 0.9);
@@ -115,8 +118,8 @@ TEST(Integration, StreamingWorkloadInsensitiveToDesign)
 {
     // swim/applu: all designs within a few percent of each other
     // (Figure 5's flat region).
-    auto snuca = quickRun(DesignKind::Snuca2, "swim");
-    auto tlc = quickRun(DesignKind::TlcBase, "swim");
+    auto snuca = quickRun("SNUCA2", "swim");
+    auto tlc = quickRun("TLC", "swim");
     double ratio = static_cast<double>(tlc.cycles) /
                    static_cast<double>(snuca.cycles);
     EXPECT_GT(ratio, 0.9);
@@ -125,7 +128,7 @@ TEST(Integration, StreamingWorkloadInsensitiveToDesign)
 
 TEST(Integration, MemoryBoundWorkloadThrottledByDram)
 {
-    auto result = quickRun(DesignKind::TlcBase, "swim");
+    auto result = quickRun("TLC", "swim");
     // ~42 misses per 1K instructions with 8 outstanding and 300-cycle
     // DRAM caps IPC well below 1.
     EXPECT_LT(result.ipc, 0.8);

@@ -93,7 +93,7 @@ TEST(RunSpec, SpecKeyNamesEveryField)
 
 TEST(RunSpec, SpecKeySuffixesNonDefaultMachines)
 {
-    RunSpec spec = makeRunSpec(DesignKind::Dnuca, "gcc");
+    RunSpec spec = makeRunSpec("DNUCA", "gcc");
     std::string default_key = specKey(spec);
     EXPECT_EQ(default_key.find("/c"), std::string::npos);
 
@@ -115,7 +115,7 @@ TEST(RunSpec, SpecKeySuffixesNonDefaultMachines)
 
 TEST(RunSpec, TraceSeedIgnoresDesignOnly)
 {
-    RunSpec tlc = makeRunSpec(DesignKind::TlcBase, "mcf");
+    RunSpec tlc = makeRunSpec("TLC", "mcf");
     RunSpec dnuca = tlc;
     dnuca.config.design = "DNUCA";
     // Same trace across designs: normalized comparisons replay the
@@ -1071,15 +1071,9 @@ allDesignSpecs(const std::vector<std::string> &benchmarks,
                const SystemConfig &base = testConfig())
 {
     std::vector<RunSpec> specs;
-    for (const std::string &bench : benchmarks) {
-        for (DesignKind kind : allDesigns()) {
-            RunSpec spec;
-            spec.benchmark = bench;
-            spec.config = base;
-            spec.config.design = designName(kind);
-            specs.push_back(spec);
-        }
-    }
+    for (const std::string &bench : benchmarks)
+        for (const std::string &design : allDesigns())
+            specs.push_back(makeRunSpec(design, bench, base));
     return specs;
 }
 

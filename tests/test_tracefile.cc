@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
 #include <sstream>
 #include <vector>
 
@@ -68,9 +71,10 @@ instructionsOf(const std::vector<TraceRecord> &records)
     return n;
 }
 
-TraceFile
-encode(const std::vector<TraceRecord> &records,
-       std::uint32_t stride = tltDefaultIndexStride)
+/** The `.tlt` file image of @p records. */
+std::vector<std::uint8_t>
+imageOf(const std::vector<TraceRecord> &records,
+        std::uint32_t stride = tltDefaultIndexStride)
 {
     TraceFileWriter writer(stride);
     for (const TraceRecord &r : records)
@@ -78,9 +82,48 @@ encode(const std::vector<TraceRecord> &records,
     std::ostringstream os(std::ios::binary);
     writer.finish(os);
     const std::string &bytes = os.str();
-    return TraceFile::fromBytes(
-        std::vector<std::uint8_t>(bytes.begin(), bytes.end()),
-        "<test>");
+    return {bytes.begin(), bytes.end()};
+}
+
+TraceFile
+encode(const std::vector<TraceRecord> &records,
+       std::uint32_t stride = tltDefaultIndexStride)
+{
+    return TraceFile::fromBytes(imageOf(records, stride), "<test>");
+}
+
+/** A small generated trace with several seek-index entries. */
+std::vector<std::uint8_t>
+generatedImage()
+{
+    TraceGenerator generator(profileByName("gcc"), 5);
+    std::vector<TraceRecord> records;
+    for (int i = 0; i < 120; ++i)
+        records.push_back(generator.next());
+    return imageOf(records, 64);
+}
+
+std::vector<std::uint8_t>
+edgeImage()
+{
+    return imageOf(edgeRecords(), 16);
+}
+
+std::uint64_t
+getU64At(const std::vector<std::uint8_t> &bytes, std::size_t at)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
+    return v;
+}
+
+void
+putU64At(std::vector<std::uint8_t> &bytes, std::size_t at,
+         std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 void
@@ -219,14 +262,7 @@ TEST(TraceFile, MalformedTextIsFatal)
 
 TEST(TraceFile, CorruptImagesAreRejected)
 {
-    auto records = edgeRecords();
-    TraceFileWriter writer;
-    for (const TraceRecord &r : records)
-        writer.append(r);
-    std::ostringstream os(std::ios::binary);
-    writer.finish(os);
-    const std::string &str = os.str();
-    std::vector<std::uint8_t> image(str.begin(), str.end());
+    std::vector<std::uint8_t> image = imageOf(edgeRecords());
 
     std::vector<std::uint8_t> truncated(image.begin(),
                                         image.begin() + 20);
@@ -240,6 +276,109 @@ TEST(TraceFile, CorruptImagesAreRejected)
     std::vector<std::uint8_t> bad_count = image;
     bad_count[16] ^= 0x01;
     EXPECT_THROW(TraceFile::fromBytes(bad_count), FatalError);
+
+    // An index count whose byte size wraps to 24 in 64 bits.
+    std::vector<std::uint8_t> huge_count = image;
+    putU64At(huge_count, 40, ~std::uint64_t(0) / 40 + 1);
+    EXPECT_THROW(TraceFile::fromBytes(huge_count), FatalError);
+
+    // An index offset just below 2^64: offset + 40 wraps to 32.
+    std::vector<std::uint8_t> wrapped_offset = image;
+    putU64At(wrapped_offset, 32, ~std::uint64_t(0) - 7);
+    putU64At(wrapped_offset, 40, 1);
+    EXPECT_THROW(TraceFile::fromBytes(wrapped_offset), FatalError);
+
+    // Index entries that disagree with their records, on an image
+    // with several entries.
+    std::vector<std::uint8_t> indexed = generatedImage();
+    ASSERT_NO_THROW(TraceFile::fromBytes(indexed));
+    std::uint64_t index_offset = getU64At(indexed, 32);
+    ASSERT_GT(getU64At(indexed, 40), 2u);
+
+    // Entry 1's fields: byte offset, record index, instructions
+    // before it, data and ifetch delta registers. Each one off by one
+    // still lies inside the body and below the record count.
+    for (std::uint64_t field = 0; field < 5; ++field) {
+        SCOPED_TRACE(field);
+        std::vector<std::uint8_t> bad = indexed;
+        std::uint64_t at = index_offset + 40 + 8 * field;
+        putU64At(bad, at, getU64At(bad, at) + 1);
+        EXPECT_THROW(TraceFile::fromBytes(bad), FatalError);
+    }
+
+    // Entries out of order.
+    std::vector<std::uint8_t> swapped = indexed;
+    std::swap_ranges(swapped.begin() + index_offset + 40,
+                     swapped.begin() + index_offset + 80,
+                     swapped.begin() + index_offset + 80);
+    EXPECT_THROW(TraceFile::fromBytes(swapped), FatalError);
+}
+
+TEST(TraceFile, MutatedImagesAreRejectedOrReplayCleanly)
+{
+    // Truncate, bit-flip and splice two valid images; every mutant
+    // either throws FatalError or loads, and a mutant that loads
+    // seeks to every record exactly as a linear replay reaches it.
+    const std::vector<std::vector<std::uint8_t>> images = {
+        generatedImage(), edgeImage()};
+    std::mt19937_64 rng(9973);
+    auto below = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    std::size_t loaded = 0;
+    std::size_t rejected = 0;
+    for (int round = 0; round < 1000; ++round) {
+        for (const auto &image : images) {
+            std::vector<std::uint8_t> mutant = image;
+            switch (below(3)) {
+              case 0:
+                mutant.resize(below(mutant.size()));
+                break;
+              case 1:
+                for (std::size_t flips = 1 + below(3); flips; --flips)
+                    mutant[below(mutant.size())] ^=
+                        static_cast<std::uint8_t>(1u << below(8));
+                break;
+              default: {
+                const auto &donor = images[below(images.size())];
+                std::size_t from = below(donor.size());
+                std::size_t len = below(donor.size() - from) + 1;
+                std::size_t at = below(mutant.size());
+                std::size_t cut = below(mutant.size() - at);
+                mutant.erase(mutant.begin() + at,
+                             mutant.begin() + at + cut);
+                mutant.insert(mutant.begin() + at,
+                              donor.begin() + from,
+                              donor.begin() + from + len);
+              }
+            }
+
+            std::optional<TraceFile> trace;
+            try {
+                trace = TraceFile::fromBytes(mutant);
+            } catch (const FatalError &) {
+                ++rejected;
+                continue;
+            }
+            ++loaded;
+            TraceFileSource linear(*trace);
+            for (std::uint64_t r = 0; r < trace->recordCount(); ++r) {
+                TraceFileSource seeked(*trace);
+                seeked.seekToRecord(r);
+                ASSERT_EQ(seeked.recordIndex(), linear.recordIndex());
+                ASSERT_EQ(seeked.instructionsConsumed(),
+                          linear.instructionsConsumed());
+                TraceRecord expected = linear.next();
+                TraceRecord got = seeked.next();
+                ASSERT_EQ(got.blockAddr, expected.blockAddr);
+                ASSERT_EQ(got.gap, expected.gap);
+            }
+            EXPECT_EQ(linear.instructionsConsumed(),
+                      trace->instructionCount());
+        }
+    }
+    EXPECT_GT(loaded, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 TEST(TraceFile, SeekPastEndIsFatal)

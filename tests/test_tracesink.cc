@@ -149,11 +149,11 @@ TEST(TraceSink, TracedBenchmarkRunCoversCategories)
     {
         ActiveSinkGuard guard(sink);
         const auto &profile = workload::profileByName("mcf");
-        harness::runBenchmark(harness::DesignKind::TlcBase, profile,
-                              /*warm_instructions=*/20'000,
-                              /*measure_instructions=*/100'000,
-                              /*run_seed=*/0,
-                              /*functional_warm=*/100'000);
+        harness::runBenchmark({.design = "TLC",
+                               .functionalWarm = 100'000,
+                               .warmup = 20'000,
+                               .measure = 100'000},
+                              profile);
     }
     sink.close();
 

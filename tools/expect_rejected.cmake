@@ -1,5 +1,6 @@
 # ctest driver for a command line that must be rejected: the program
-# has to exit non-zero and print a message matching EXPECT.
+# has to exit with a status of 1 or more (a crash such as an abort is
+# not a rejection) and print a message matching EXPECT.
 #
 # Arguments: -DPROGRAM=<binary> -DARGS="<space-separated args>"
 #            -DEXPECT=<regex>
@@ -10,6 +11,9 @@ execute_process(
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
+if(NOT rc MATCHES "^[0-9]+$")
+    message(FATAL_ERROR "'${ARGS}' crashed (${rc}):\n${err}")
+endif()
 if(rc EQUAL 0)
     message(FATAL_ERROR "'${ARGS}' was accepted (exit 0)")
 endif()
