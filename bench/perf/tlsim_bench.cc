@@ -12,7 +12,6 @@
  *
  * Kernels:
  *   eventq_throughput     schedule+dispatch rate through EventQueue
- *   eventq_churn          deschedule-heavy load (heap compaction path)
  *   pulse_sim_cold        one frequency-domain pulse sim, cold caches
  *   physcache_hot         memoized pulse lookups through PhysCache
  *   ddr_frfcfs            requests/s through the banked "ddr" memory
@@ -152,37 +151,6 @@ benchEventqThroughput(bool quick)
     (void)processed;
     return Kernel{"eventq_throughput", "events_per_sec",
                   static_cast<double>(typed + oneshots) / secs, secs};
-}
-
-Kernel
-benchEventqChurn(bool quick)
-{
-    const std::uint64_t rounds = quick ? 100'000 : 1'000'000;
-
-    auto start = std::chrono::steady_clock::now();
-    EventQueue eq;
-    std::uint64_t fired = 0;
-    // Retry-heavy pattern: schedule, squash, reschedule later — the
-    // load that used to accumulate stale heap entries unboundedly.
-    for (std::uint64_t i = 0; i < rounds; ++i) {
-        Event *ev = eq.scheduleCallback(eq.now() + 100,
-                                        [&fired](Tick) { ++fired; });
-        eq.deschedule(ev);
-        eq.scheduleCallback(eq.now() + 1, [&fired](Tick) { ++fired; });
-        eq.advanceTo(eq.now() + 1);
-        // Compaction keeps squashed entries bounded by 2x live.
-        if (eq.heapSize() > 64 &&
-            eq.staleCount() > 2 * (eq.size() + 1)) {
-            throw std::runtime_error("eventq compaction ineffective");
-        }
-    }
-    eq.run();
-    double secs = wallSeconds(start);
-
-    if (fired != rounds)
-        throw std::runtime_error("eventq_churn lost callbacks");
-    return Kernel{"eventq_churn", "events_per_sec",
-                  static_cast<double>(2 * rounds) / secs, secs};
 }
 
 Kernel
@@ -674,8 +642,6 @@ main(int argc, char **argv)
         };
         run("bench:eventq_throughput",
             [&] { return benchEventqThroughput(quick); });
-        run("bench:eventq_churn",
-            [&] { return benchEventqChurn(quick); });
         run("bench:pulse_sim_cold",
             [&] { return benchPulseSimCold(quick); });
         run("bench:physcache_hot",

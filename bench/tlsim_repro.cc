@@ -11,11 +11,6 @@
 int
 main(int argc, char **argv)
 {
-    try {
-        return tlsim::repro::reproMain(argc, argv);
-    } catch (const tlsim::FatalError &) {
-        // Bad input: fatal() has already printed the message. A
-        // PanicError (a simulator bug) still propagates and aborts.
-        return 1;
-    }
+    return tlsim::exitOnFatal(
+        [&] { return tlsim::repro::reproMain(argc, argv); });
 }

@@ -10,13 +10,17 @@
 #include <iostream>
 
 #include "harness/system.hh"
+#include "sim/logging.hh"
 #include "sim/table.hh"
 #include "sim/trace/options.hh"
 
 using namespace tlsim;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     trace::Observability obs(argc, argv);
     std::string bench = argc > 1 ? argv[1] : "mcf";
@@ -53,4 +57,12 @@ main(int argc, char **argv)
                  "lookup latency sits near 13 cycles with the "
                  "highest predictability (paper Figures 5/6).\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return exitOnFatal([&] { return run(argc, argv); });
 }

@@ -11,6 +11,7 @@
 
 #include "harness/system.hh"
 #include "mem/dram.hh"
+#include "sim/logging.hh"
 #include "sim/table.hh"
 #include "sim/trace/options.hh"
 #include "tlc/config.hh"
@@ -19,8 +20,11 @@
 
 using namespace tlsim;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     trace::Observability obs(argc, argv);
     std::string bench = argc > 1 ? argv[1] : "apache";
@@ -64,4 +68,12 @@ main(int argc, char **argv)
                  "few percent of performance: the base design is "
                  "over-provisioned (Figures 7/8).\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return exitOnFatal([&] { return run(argc, argv); });
 }

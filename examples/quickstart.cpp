@@ -20,13 +20,17 @@
 #include <memory>
 
 #include "harness/system.hh"
+#include "sim/logging.hh"
 #include "sim/table.hh"
 #include "sim/trace/options.hh"
 
 using namespace tlsim;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     trace::Observability obs(argc, argv);
 
@@ -100,4 +104,12 @@ main(int argc, char **argv)
     std::cout << "\nTry: quickstart mcf, or compare designs with the "
                  "cache_compare example.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return exitOnFatal([&] { return run(argc, argv); });
 }

@@ -14,13 +14,17 @@
 #include "phys/geometry.hh"
 #include "phys/pulse.hh"
 #include "phys/technology.hh"
+#include "sim/logging.hh"
 #include "sim/table.hh"
 
 using namespace tlsim;
 using namespace tlsim::phys;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     double length_cm = argc > 1 ? std::strtod(argv[1], nullptr) : 1.1;
     double length = length_cm * 1e-2;
@@ -75,4 +79,12 @@ main(int argc, char **argv)
               << std::string(columns - 8, ' ')
               << TextTable::num(span * dt_ps, 0) << " ps\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return exitOnFatal([&] { return run(argc, argv); });
 }

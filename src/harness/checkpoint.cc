@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "harness/filecommit.hh"
 #include "mem/warmstate.hh"
 #include "sim/logging.hh"
 
@@ -79,6 +80,21 @@ WarmCheckpointCache::path(const std::string &key) const
     return _dir + "/warm_" + key + ".tlwc";
 }
 
+std::string
+WarmCheckpointCache::planPath(const std::string &key) const
+{
+    return _dir + "/plan_" + key + ".tlsp";
+}
+
+void
+WarmCheckpointCache::commit(const std::string &file,
+                            const std::string &bytes) const
+{
+    std::string error = commitFile(file, bytes);
+    if (!error.empty())
+        fatal("cannot store checkpoint entry '{}': {}", file, error);
+}
+
 bool
 WarmCheckpointCache::load(const std::string &key, System &system,
                           std::uint64_t expect_record) const
@@ -109,40 +125,23 @@ WarmCheckpointCache::store(const std::string &key, System &system,
     if (!enabled())
         return;
     // Serialize to memory first: designs without warm-state support
-    // must leave no partial file behind.
-    std::ostringstream payload(std::ios::binary);
-    if (!system.saveWarmState(payload))
+    // must leave no file behind.
+    std::ostringstream out(std::ios::binary);
+    out.write(fileMagic, 8);
+    mem::warm::putU64(out, start_record);
+    if (!system.saveWarmState(out))
         return;
-    std::string final_path = path(key);
-    std::string tmp_path = final_path + ".tmp";
-    {
-        std::ofstream out(tmp_path, std::ios::binary);
-        if (!out.is_open())
-            fatal("cannot write checkpoint '{}'", tmp_path);
-        out.write(fileMagic, 8);
-        mem::warm::putU64(out, start_record);
-        const std::string &bytes = payload.str();
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
-    // Write-then-rename so readers never see a torn entry.
-    std::error_code ec;
-    std::filesystem::rename(tmp_path, final_path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp_path, ec);
-        warn("checkpoint store failed for '{}': {}", final_path,
-             ec.message());
-    }
+    commit(path(key), out.str());
 }
 
 bool
 WarmCheckpointCache::loadPlan(const std::string &key,
+                              const workload::TraceFile &trace,
                               workload::SamplingPlan &plan) const
 {
     if (!enabled())
         return false;
-    std::ifstream is(_dir + "/plan_" + key + ".tlsp",
-                     std::ios::binary);
+    std::ifstream is(planPath(key), std::ios::binary);
     if (!is.is_open())
         return false;
     char magic[8];
@@ -158,7 +157,18 @@ WarmCheckpointCache::loadPlan(const std::string &key,
         !mem::warm::getU8(is, dropped) ||
         !mem::warm::getU64(is, rep_count))
         return false;
+    // The shape selectIntervals produces: representatives ordered by
+    // interval, each starting inside the trace, whose clusters
+    // partition the intervals with weight = clusterSize / intervals.
+    // Anything else would make the replay seek past the trace or run
+    // an unbounded interval.
+    if (loaded.intervalInstructions == 0 || dropped > 1 ||
+        rep_count == 0 || rep_count > loaded.numIntervals ||
+        loaded.coveredInstructions > trace.instructionCount())
+        return false;
     loaded.droppedTail = dropped != 0;
+    std::uint64_t clustered = 0;
+    std::uint64_t spanned = 0;
     for (std::uint64_t i = 0; i < rep_count; ++i) {
         workload::RepresentativeInterval rep;
         std::uint64_t weight_bits = 0;
@@ -170,9 +180,31 @@ WarmCheckpointCache::loadPlan(const std::string &key,
             !mem::warm::getU64(is, rep.clusterSize))
             return false;
         std::memcpy(&rep.weight, &weight_bits, sizeof rep.weight);
+        if (rep.interval >= loaded.numIntervals ||
+            rep.startRecord >= trace.recordCount() ||
+            rep.instructions == 0 ||
+            rep.instructions > loaded.coveredInstructions - spanned ||
+            rep.startInstr >
+                trace.instructionCount() - rep.instructions ||
+            rep.clusterSize == 0 ||
+            rep.clusterSize > loaded.numIntervals - clustered ||
+            rep.weight != static_cast<double>(rep.clusterSize) /
+                              static_cast<double>(loaded.numIntervals))
+            return false;
+        if (!loaded.representatives.empty()) {
+            const workload::RepresentativeInterval &prev =
+                loaded.representatives.back();
+            if (rep.interval <= prev.interval ||
+                rep.startRecord <= prev.startRecord ||
+                rep.startInstr <= prev.startInstr)
+                return false;
+        }
+        spanned += rep.instructions;
+        clustered += rep.clusterSize;
         loaded.representatives.push_back(rep);
     }
-    if (is.peek() != std::ifstream::traits_type::eof())
+    if (clustered != loaded.numIntervals ||
+        is.peek() != std::ifstream::traits_type::eof())
         return false;
     plan = std::move(loaded);
     return true;
@@ -184,38 +216,25 @@ WarmCheckpointCache::storePlan(
 {
     if (!enabled())
         return;
-    std::string final_path = _dir + "/plan_" + key + ".tlsp";
-    std::string tmp_path = final_path + ".tmp";
-    {
-        std::ofstream out(tmp_path, std::ios::binary);
-        if (!out.is_open())
-            fatal("cannot write sampling plan '{}'", tmp_path);
-        out.write(planMagic, 8);
-        mem::warm::putU64(out, plan.intervalInstructions);
-        mem::warm::putU64(out, plan.numIntervals);
-        mem::warm::putU64(out, plan.coveredInstructions);
-        mem::warm::putU8(out, plan.droppedTail ? 1 : 0);
-        mem::warm::putU64(out, plan.representatives.size());
-        for (const workload::RepresentativeInterval &rep :
-             plan.representatives) {
-            std::uint64_t weight_bits = 0;
-            std::memcpy(&weight_bits, &rep.weight,
-                        sizeof weight_bits);
-            mem::warm::putU64(out, rep.interval);
-            mem::warm::putU64(out, rep.startRecord);
-            mem::warm::putU64(out, rep.startInstr);
-            mem::warm::putU64(out, rep.instructions);
-            mem::warm::putU64(out, weight_bits);
-            mem::warm::putU64(out, rep.clusterSize);
-        }
+    std::ostringstream out(std::ios::binary);
+    out.write(planMagic, 8);
+    mem::warm::putU64(out, plan.intervalInstructions);
+    mem::warm::putU64(out, plan.numIntervals);
+    mem::warm::putU64(out, plan.coveredInstructions);
+    mem::warm::putU8(out, plan.droppedTail ? 1 : 0);
+    mem::warm::putU64(out, plan.representatives.size());
+    for (const workload::RepresentativeInterval &rep :
+         plan.representatives) {
+        std::uint64_t weight_bits = 0;
+        std::memcpy(&weight_bits, &rep.weight, sizeof weight_bits);
+        mem::warm::putU64(out, rep.interval);
+        mem::warm::putU64(out, rep.startRecord);
+        mem::warm::putU64(out, rep.startInstr);
+        mem::warm::putU64(out, rep.instructions);
+        mem::warm::putU64(out, weight_bits);
+        mem::warm::putU64(out, rep.clusterSize);
     }
-    std::error_code ec;
-    std::filesystem::rename(tmp_path, final_path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp_path, ec);
-        warn("sampling-plan store failed for '{}': {}", final_path,
-             ec.message());
-    }
+    commit(planPath(key), out.str());
 }
 
 } // namespace harness

@@ -7,8 +7,8 @@
  * pay the functional warm-up once, not once per spec. Entries live
  * beside the result cache (by default in a `warm/` subdirectory of
  * the cache dir) and follow the same discipline: content-addressed
- * keys, write-then-rename stores, and corrupt or mismatched entries
- * silently treated as misses. docs/SAMPLING.md documents the
+ * keys, crash-safe stores (commitFile), and corrupt or mismatched
+ * entries silently treated as misses. docs/SAMPLING.md documents the
  * invalidation semantics.
  */
 
@@ -83,11 +83,14 @@ class WarmCheckpointCache
                std::uint64_t start_record) const;
 
     /**
-     * Restore a cached sampling plan (the interval-selection scan is
-     * the dominant fixed cost of a warm sampled run). Same miss
-     * discipline as load(): any mismatch returns false.
+     * Restore a cached sampling plan for @p trace (the interval-
+     * selection scan is the dominant fixed cost of a warm sampled
+     * run). Same miss discipline as load(): any mismatch returns
+     * false, including a plan that selectIntervals could not have
+     * produced for a trace of @p trace's length.
      */
     bool loadPlan(const std::string &key,
+                  const workload::TraceFile &trace,
                   workload::SamplingPlan &plan) const;
 
     /** Persist @p plan under @p key (atomic). */
@@ -96,6 +99,10 @@ class WarmCheckpointCache
 
   private:
     std::string path(const std::string &key) const;
+    std::string planPath(const std::string &key) const;
+
+    /** commitFile() @p bytes to @p file; fatal on failure. */
+    void commit(const std::string &file, const std::string &bytes) const;
 
     std::string _dir;
 };

@@ -1,17 +1,13 @@
 #include "harness/sweep/resultcache.hh"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <vector>
 
+#include "harness/filecommit.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 
@@ -247,57 +243,12 @@ ResultCache::load(const RunSpec &spec) const
 void
 ResultCache::store(const RunSpec &spec, const RunResult &result) const
 {
-    // Crash-safe commit: write to a per-process tmp name (so two
-    // sweeps sharing the cache never clobber each other's tmp file),
-    // fsync the data, rename over the final name, fsync the
-    // directory. A kill or power cut at any instant leaves either the
-    // old entry, the new entry, or a leftover tmp file that load()
-    // and --fsck-cache ignore — never a torn visible entry.
-    std::string final_path = filePath(spec);
-    std::string tmp_path =
-        final_path + ".tmp." + std::to_string(::getpid());
     std::ostringstream text;
     writeResultJson(text, spec, result);
-    std::string blob = text.str();
-
-    int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                    0644);
-    if (fd < 0)
-        fatal("cannot write result cache entry '{}': {}", tmp_path,
-              std::strerror(errno));
-    const char *data = blob.data();
-    std::size_t left = blob.size();
-    while (left > 0) {
-        ssize_t n = ::write(fd, data, left);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            int err = errno;
-            ::close(fd);
-            fatal("cannot write result cache entry '{}': {}",
-                  tmp_path, std::strerror(err));
-        }
-        data += n;
-        left -= static_cast<std::size_t>(n);
-    }
-    if (::fsync(fd) != 0) {
-        int err = errno;
-        ::close(fd);
-        fatal("cannot sync result cache entry '{}': {}", tmp_path,
-              std::strerror(err));
-    }
-    ::close(fd);
-
-    std::error_code ec;
-    std::filesystem::rename(tmp_path, final_path, ec);
-    if (ec)
-        fatal("cannot commit result cache entry '{}': {}", final_path,
-              ec.message());
-    int dirfd = ::open(_dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dirfd >= 0) {
-        ::fsync(dirfd);
-        ::close(dirfd);
-    }
+    std::string path = filePath(spec);
+    std::string error = commitFile(path, text.str());
+    if (!error.empty())
+        fatal("cannot store result cache entry '{}': {}", path, error);
 }
 
 FsckReport
@@ -335,7 +286,7 @@ fsckCache(const std::string &dir)
         if (!entry.is_regular_file())
             continue; // the quarantine subdir, mainly
         if (entry.path().extension() != ".json")
-            continue; // leftover .tmp.<pid> files are not entries
+            continue; // leftover tmp files are not entries
         entries.push_back(entry.path());
     }
     std::sort(entries.begin(), entries.end());

@@ -130,7 +130,7 @@ runSampledTrace(const workload::TraceFile &trace,
     std::string plan_key = samplingPlanKey(
         trace.contentHash(), options.intervalInstructions,
         options.maxIntervals, options.seed);
-    if (!checkpoints.loadPlan(plan_key, outcome.plan)) {
+    if (!checkpoints.loadPlan(plan_key, trace, outcome.plan)) {
         outcome.plan = workload::selectIntervals(
             trace, options.intervalInstructions, options.maxIntervals,
             options.seed);

@@ -262,11 +262,13 @@ DdrBackend::scheduleKick(int ch_idx, Tick when)
     if (ch.pendingKickAt <= when)
         return; // an earlier wakeup will re-evaluate anyway
     ch.pendingKickAt = when;
-    eventq.scheduleFunc(when, [this, ch_idx, when] {
+    // The 16-byte capture fits std::function's local buffer; the
+    // kick tick arrives as the fire tick.
+    eventq.scheduleCallback(when, [this, ch_idx](Tick at) {
         Channel &chan = channels[static_cast<std::size_t>(ch_idx)];
-        if (chan.pendingKickAt == when)
+        if (chan.pendingKickAt == at)
             chan.pendingKickAt = MaxTick;
-        tryIssue(ch_idx, when);
+        tryIssue(ch_idx, at);
     });
 }
 

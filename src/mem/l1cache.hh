@@ -231,9 +231,7 @@ class L1Cache : public stats::StatGroup
      * the tag check to its departure tick. One per MSHR: a miss only
      * schedules while its MSHR is held, and the event is back in the
      * pool before that MSHR can be released, so the pool never runs
-     * dry. Owned by the cache, never by the queue — the Entry's
-     * selfDel snapshot keeps queue teardown from touching these after
-     * the cache is gone.
+     * dry. Owned by the cache, never by the queue.
      */
     class MissEvent : public Event
     {

@@ -116,9 +116,11 @@ writeArray(std::ostream &os, const SetAssocArray &array)
 /**
  * Restore an array written by writeArray. The destination's geometry
  * must match; all its lines are reset first so a load over a used
- * array is equivalent to loading into a fresh one.
- * @return false on truncation or geometry mismatch (caller should
- *         discard the checkpoint).
+ * array is equivalent to loading into a fresh one. Only what
+ * writeArray can produce loads: lines in strictly increasing
+ * (set, way) order, a 0/1 dirty byte, and no tag twice in one set.
+ * @return false on truncation, geometry mismatch or any other
+ *         deviation (caller should discard the checkpoint).
  */
 inline bool
 readArray(std::istream &is, SetAssocArray &array)
@@ -132,6 +134,7 @@ readArray(std::istream &is, SetAssocArray &array)
     for (std::uint32_t set = 0; set < array.sets(); ++set)
         for (std::uint32_t way = 0; way < array.ways(); ++way)
             array.at(set, way) = LineState{};
+    std::uint64_t next_slot = 0;
     for (std::uint64_t i = 0; i < valid; ++i) {
         std::uint32_t set = 0, way = 0;
         std::uint64_t tag = 0, last_use = 0;
@@ -140,8 +143,16 @@ readArray(std::istream &is, SetAssocArray &array)
             !getU64(is, last_use) || !getU8(is, dirty))
             return false;
         if (set >= array.sets() || way >= array.ways() ||
-            tag > LineState::maxTag)
+            tag > LineState::maxTag || dirty > 1)
             return false;
+        std::uint64_t slot =
+            static_cast<std::uint64_t>(set) * array.ways() + way;
+        if (slot < next_slot)
+            return false;
+        next_slot = slot + 1;
+        for (std::uint32_t w = 0; w < way; ++w)
+            if (array.at(set, w).holds(tag))
+                return false;
         LineState &line = array.at(set, way);
         line.fill(tag, dirty != 0);
         line.lastUse = last_use;

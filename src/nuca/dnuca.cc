@@ -306,6 +306,10 @@ DnucaCache::loadWarmState(std::istream &is)
                      ++way)
                     array.frame(BankLocation{bs, set, bank, way}) =
                         mem::LineState{};
+    // Only what saveWarmState writes loads: frames in strictly
+    // increasing (bank set, set, bank, way) order, a 0/1 dirty byte,
+    // and no block twice in one bank set's set.
+    std::uint64_t next_slot = 0;
     for (std::uint64_t i = 0; i < valid; ++i) {
         std::uint32_t bs = 0, set = 0, bank = 0, way = 0;
         std::uint64_t tag = 0, last_use = 0;
@@ -318,8 +322,21 @@ DnucaCache::loadWarmState(std::istream &is)
             return false;
         if (bs >= bc.numBankSets || set >= bc.setsPerBankSet ||
             bank >= bc.banksPerSet || way >= bc.waysPerBank ||
-            tag > mem::LineState::maxTag)
+            tag > mem::LineState::maxTag || dirty > 1)
             return false;
+        std::uint64_t slot =
+            ((static_cast<std::uint64_t>(bs) * bc.setsPerBankSet + set) *
+                 bc.banksPerSet +
+             bank) *
+                bc.waysPerBank +
+            way;
+        if (slot < next_slot)
+            return false;
+        next_slot = slot + 1;
+        for (std::uint32_t b = 0; b <= bank; ++b)
+            for (std::uint32_t w = 0; w < bc.waysPerBank; ++w)
+                if (array.frame(BankLocation{bs, set, b, w}).holds(tag))
+                    return false;
         mem::LineState &line =
             array.frame(BankLocation{bs, set, bank, way});
         line.fill(tag, dirty != 0);

@@ -4,12 +4,13 @@
  *
  * A single EventQueue orders Event objects by (tick, priority,
  * insertion sequence); ties are broken deterministically so runs are
- * exactly reproducible. Events may be one-shot lambdas (see
- * EventQueue::scheduleFunc) or long-lived Event subclasses that are
- * rescheduled repeatedly without allocation. One-shot lambdas are
- * pooled per queue: firing returns the LambdaEvent to a freelist
- * instead of the allocator. The memory system's hot paths use
- * pre-allocated typed events or pooled tick callbacks only.
+ * exactly reproducible. Events are either long-lived Event subclasses
+ * that are rescheduled repeatedly without allocation, or pooled
+ * one-shot callbacks (EventQueue::scheduleCallback): firing returns
+ * the TickCallbackEvent to the queue's freelist instead of the
+ * allocator. Every heap entry is live — deschedule removes the entry
+ * at once — so the queue never follows a pointer to an event its
+ * owner has already destroyed.
  */
 
 #ifndef TLSIM_SIM_EVENTQ_HH
@@ -18,6 +19,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -39,9 +41,9 @@ inline void (*scheduleViolationHook)() = nullptr;
  * Base class for all schedulable events.
  *
  * An Event may be scheduled on at most one queue at a time. The queue
- * never owns the event; lifetime is the scheduler's responsibility —
- * except for self-deleting events (LambdaEvent), which the queue
- * machinery reclaims itself.
+ * never owns an Event subclass; lifetime is the scheduler's
+ * responsibility. An event must be descheduled (or have fired) before
+ * it is destroyed.
  */
 class Event
 {
@@ -73,68 +75,12 @@ class Event
     /** Scheduling priority; lower runs first within a tick. */
     int priority() const { return _priority; }
 
-    /**
-     * True for events the queue machinery owns and reclaims (the
-     * LambdaEvents and TickCallbackEvents); lets the stale-entry pop
-     * path avoid a dynamic_cast.
-     */
-    bool selfDeleting() const { return _selfDeleting; }
-
-  protected:
-    /** Only the pooled one-shot events mark themselves. */
-    void markSelfDeleting() { _selfDeleting = true; }
-
-    /** Distinguishes the two pooled one-shot flavours on reclaim. */
-    void markTickCallback() { _tickCallback = true; }
-
   private:
     friend class EventQueue;
 
     Tick _when = 0;
-    std::uint64_t _sequence = 0;
     int _priority;
     bool _scheduled = false;
-    bool _selfDeleting = false;
-    bool _tickCallback = false;
-};
-
-/**
- * One-shot event wrapping a callable. After firing (or after its
- * squashed heap entry is dropped) the event returns to its owning
- * queue's freelist for reuse; events constructed outside
- * EventQueue::scheduleFunc have no owner and delete themselves as
- * before.
- */
-class LambdaEvent : public Event
-{
-  public:
-    explicit LambdaEvent(std::function<void()> fn,
-                         int priority = Event::defaultPriority)
-        : Event(priority), func(std::move(fn))
-    {
-        markSelfDeleting();
-    }
-
-    void process() override; // defined after EventQueue
-
-    const char *name() const override { return "LambdaEvent"; }
-
-  private:
-    friend class EventQueue;
-
-    /** Refill a pooled event for its next one-shot use. */
-    void
-    rearm(std::function<void()> fn)
-    {
-        func = std::move(fn);
-        pooled = false;
-    }
-
-    std::function<void()> func;
-    /** Owning queue whose freelist reclaims this event (or null). */
-    EventQueue *owner = nullptr;
-    /** True while sitting in the owner's freelist. */
-    bool pooled = false;
 };
 
 /**
@@ -142,24 +88,14 @@ class LambdaEvent : public Event
  *
  * The memory system's dominant scheduling pattern is "run cb(t) at
  * tick t": delivering a response, completing a DRAM access, retiring
- * a writeback. Wrapping that in a LambdaEvent forces the tick (and
- * often a moved std::function) into a closure too big for the
- * std::function small-buffer, heap-allocating on every L2 access.
- * TickCallbackEvent stores the std::function<void(Tick)> directly
- * (moving one transfers its buffer without allocating) and passes
- * when() at dispatch, so the hot path stops touching the allocator.
+ * a writeback. The event stores the std::function<void(Tick)>
+ * directly (moving one transfers its buffer without allocating) and
+ * passes when() at dispatch, so the callback needs no copy of the
+ * tick. Only the owning queue creates, schedules and frees these.
  */
 class TickCallbackEvent : public Event
 {
   public:
-    explicit TickCallbackEvent(std::function<void(Tick)> fn,
-                               int priority = Event::defaultPriority)
-        : Event(priority), func(std::move(fn))
-    {
-        markSelfDeleting();
-        markTickCallback();
-    }
-
     void process() override; // defined after EventQueue
 
     const char *name() const override { return "TickCallbackEvent"; }
@@ -167,27 +103,13 @@ class TickCallbackEvent : public Event
   private:
     friend class EventQueue;
 
-    /** Refill a pooled event for its next one-shot use. */
-    void
-    rearm(std::function<void(Tick)> fn)
-    {
-        func = std::move(fn);
-        pooled = false;
-    }
+    explicit TickCallbackEvent(EventQueue &owner_) : owner(owner_) {}
 
     std::function<void(Tick)> func;
-    /** Owning queue whose freelist reclaims this event (or null). */
-    EventQueue *owner = nullptr;
-    /** True while sitting in the owner's freelist. */
-    bool pooled = false;
+    EventQueue &owner;
 };
 
-/**
- * Deterministic discrete-event queue.
- *
- * Deschedule is implemented by squashing: the heap entry stays but is
- * skipped on pop, so deschedule/reschedule are O(log n) amortized.
- */
+/** Deterministic discrete-event queue. */
 class EventQueue
 {
   public:
@@ -196,33 +118,14 @@ class EventQueue
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    ~EventQueue()
-    {
-        // Reclaim machinery-owned one-shots still referenced by heap
-        // entries (descheduled or never fired), then free the pools.
-        // recycle() is idempotent per event via the pooled flag, so
-        // duplicate stale entries are harmless. The self-deleting
-        // flag is read from the Entry, not the event: externally
-        // owned events may already be destroyed by the time the
-        // queue goes down, and their entries must not be followed.
-        for (const Entry &entry : heap) {
-            if (entry.selfDel)
-                recycleAny(entry.event);
-        }
-        for (LambdaEvent *ev : lambdaPool)
-            delete ev;
-        for (TickCallbackEvent *ev : callbackPool)
-            delete ev;
-    }
-
     /** Current simulated time in ticks. */
     Tick now() const { return curTick; }
 
-    /** Number of events pending (excluding squashed entries). */
-    std::size_t size() const { return liveCount; }
+    /** Number of events pending. */
+    std::size_t size() const { return heap.size(); }
 
-    /** True when no live events remain. */
-    bool empty() const { return liveCount == 0; }
+    /** True when no events remain. */
+    bool empty() const { return heap.empty(); }
 
     /**
      * Schedule an event at an absolute tick >= now().
@@ -243,93 +146,61 @@ class EventQueue
         if (trace::observed()) [[unlikely]]
             observeSchedule(event, when);
         event->_when = when;
-        event->_sequence = nextSequence++;
         event->_scheduled = true;
-        heap.push_back(Entry{when, event, event->_sequence,
-                             event->_priority, event->_selfDeleting});
+        heap.push_back(
+            Entry{when, event, nextSequence++, event->_priority});
         std::push_heap(heap.begin(), heap.end(), Later{});
-        ++liveCount;
-        // Retry-heavy runs squash far more entries than they fire;
-        // compact before stale entries dominate the heap.
-        if (heap.size() > compactMinHeap &&
-            heap.size() - liveCount > 2 * liveCount) {
-            compact();
-        }
     }
 
     /**
-     * Remove a scheduled event from the queue without firing it.
-     *
-     * The stale heap entry is lazily discarded; the Event object must
-     * stay alive until the queue drops that entry (LambdaEvents are
-     * reclaimed automatically).
+     * Remove a scheduled event from the queue without firing it. The
+     * entry leaves the heap at once (O(n): a linear find and a
+     * re-heapify), so the event may be destroyed right after. Pop
+     * order is unchanged: (when, priority, sequence) is a total
+     * order, which make_heap re-establishes exactly.
      */
     void
     deschedule(Event *event)
     {
         TLSIM_ASSERT(event && event->_scheduled,
                      "descheduling an unscheduled event");
+        auto it = std::find_if(heap.begin(), heap.end(),
+                               [event](const Entry &entry) {
+                                   return entry.event == event;
+                               });
+        TLSIM_ASSERT(it != heap.end(), "event '{}' is not in this queue",
+                     event->name());
+        heap.erase(it);
+        std::make_heap(heap.begin(), heap.end(), Later{});
         event->_scheduled = false;
-        --liveCount;
     }
 
-    /** Deschedule (if needed) and schedule at a new tick. */
+    /**
+     * Schedule a pooled one-shot that receives its fire tick. The
+     * callback is moved into the event (no closure, no allocation
+     * once the pool is warm); the event returns to the pool as it
+     * fires.
+     */
     void
-    reschedule(Event *event, Tick when)
-    {
-        if (event->_scheduled)
-            deschedule(event);
-        schedule(event, when);
-    }
-
-    /**
-     * Convenience: schedule a pooled one-shot callable.
-     * @return The created event (owned by the queue machinery).
-     */
-    Event *
-    scheduleFunc(Tick when, std::function<void()> fn,
-                 int priority = Event::defaultPriority)
-    {
-        LambdaEvent *ev;
-        if (!lambdaPool.empty()) {
-            ev = lambdaPool.back();
-            lambdaPool.pop_back();
-            ev->rearm(std::move(fn));
-            ev->_priority = priority;
-        } else {
-            ev = new LambdaEvent(std::move(fn), priority);
-            ev->owner = this;
-            ++lambdaAllocatedCount;
-        }
-        try {
-            schedule(ev, when);
-        } catch (...) {
-            recycle(ev); // past-tick panic must not strand the event
-            throw;
-        }
-        return ev;
-    }
-
-    /**
-     * Convenience: schedule a pooled one-shot that receives its fire
-     * tick. Preferred over scheduleFunc for the "deliver cb(t) at t"
-     * pattern — the callback is moved into the event (no closure, no
-     * allocation) instead of being captured alongside the tick.
-     * @return The created event (owned by the queue machinery).
-     */
-    Event *
     scheduleCallback(Tick when, std::function<void(Tick)> fn,
                      int priority = Event::defaultPriority)
     {
-        TickCallbackEvent *ev = acquireCallback(std::move(fn),
-                                                priority);
+        TickCallbackEvent *ev;
+        if (callbackPool.empty()) {
+            callbackEvents.emplace_back(new TickCallbackEvent(*this));
+            ev = callbackEvents.back().get();
+        } else {
+            ev = callbackPool.back();
+            callbackPool.pop_back();
+        }
+        ev->func = std::move(fn);
+        ev->_priority = priority;
         try {
             schedule(ev, when);
         } catch (...) {
-            recycleCallback(ev);
+            release(ev); // past-tick panic must not strand the event
             throw;
         }
-        return ev;
     }
 
     /**
@@ -340,9 +211,7 @@ class EventQueue
     std::uint64_t
     advanceTo(Tick limit)
     {
-        // Nothing due by limit: the heap top holds the least `when`
-        // of all entries, live or stale, so no event can fire. Stale
-        // entries stay for a later pop; they never affect order.
+        // Nothing due by limit: the heap top holds the least `when`.
         if (heap.empty() || heap.front().when > limit) {
             if (limit > curTick)
                 curTick = limit;
@@ -379,86 +248,28 @@ class EventQueue
         return processed;
     }
 
-    /** Tick of the earliest live event, or MaxTick when empty. */
+    /** Tick of the earliest event, or MaxTick when empty. */
     Tick
-    nextTick()
+    nextTick() const
     {
-        while (!heap.empty()) {
-            const Entry &top = heap.front();
-            Event *ev = top.event;
-            if (isStale(top)) {
-                popTop();
-                maybeReclaimSquashed(ev);
-                continue;
-            }
-            return top.when;
-        }
-        return MaxTick;
-    }
-
-    /** LambdaEvents ever allocated by scheduleFunc on this queue. */
-    std::size_t lambdaAllocated() const { return lambdaAllocatedCount; }
-
-    /** LambdaEvents currently resting in the freelist. */
-    std::size_t lambdaPoolSize() const { return lambdaPool.size(); }
-
-    /**
-     * Machinery-owned LambdaEvents in flight (scheduled or squashed
-     * but not yet reclaimed). Zero once the queue has drained — the
-     * eventq test asserts exactly that.
-     */
-    std::size_t
-    lambdaOutstanding() const
-    {
-        return lambdaAllocatedCount - lambdaPool.size();
+        return heap.empty() ? MaxTick : heap.front().when;
     }
 
     /** TickCallbackEvents ever allocated by scheduleCallback. */
-    std::size_t callbackAllocated() const { return callbackAllocatedCount; }
+    std::size_t callbackAllocated() const { return callbackEvents.size(); }
 
     /** TickCallbackEvents currently resting in the freelist. */
     std::size_t callbackPoolSize() const { return callbackPool.size(); }
 
-    /** Machinery-owned TickCallbackEvents in flight. */
+    /** TickCallbackEvents in flight (scheduled, not yet fired). */
     std::size_t
     callbackOutstanding() const
     {
-        return callbackAllocatedCount - callbackPool.size();
+        return callbackEvents.size() - callbackPool.size();
     }
-
-    /** Heap entries, live and squashed (>= size()). */
-    std::size_t heapSize() const { return heap.size(); }
-
-    /** Squashed (stale) entries still occupying the heap. */
-    std::size_t staleCount() const { return heap.size() - liveCount; }
-
-    /** Times the heap was compacted to shed squashed entries. */
-    std::uint64_t compactions() const { return compactionCount; }
 
   private:
-    friend class LambdaEvent;
     friend class TickCallbackEvent;
-
-    /** Below this heap size compaction is never worth the make_heap. */
-    static constexpr std::size_t compactMinHeap = 64;
-
-    /** Pool-or-allocate a TickCallbackEvent ready to schedule. */
-    TickCallbackEvent *
-    acquireCallback(std::function<void(Tick)> fn, int priority)
-    {
-        TickCallbackEvent *ev;
-        if (!callbackPool.empty()) {
-            ev = callbackPool.back();
-            callbackPool.pop_back();
-            ev->rearm(std::move(fn));
-            ev->_priority = priority;
-        } else {
-            ev = new TickCallbackEvent(std::move(fn), priority);
-            ev->owner = this;
-            ++callbackAllocatedCount;
-        }
-        return ev;
-    }
 
     struct Entry
     {
@@ -466,12 +277,6 @@ class EventQueue
         Event *event;
         std::uint64_t sequence;
         int priority;
-        /**
-         * Snapshot of event->selfDeleting() at schedule time, so the
-         * destructor and compaction can classify entries without
-         * dereferencing possibly-dead external events.
-         */
-        bool selfDel;
     };
 
     struct Later
@@ -487,12 +292,29 @@ class EventQueue
         }
     };
 
-    /** Drop the top heap entry. */
+    /** Return a pooled one-shot to the freelist. */
     void
-    popTop()
+    release(TickCallbackEvent *ev)
     {
+        ev->func = nullptr;
+        callbackPool.push_back(ev);
+    }
+
+    /**
+     * Pop the top entry and mark its event unscheduled, ready to
+     * dispatch at now() == its tick.
+     */
+    Event *
+    popNext()
+    {
+        Event *ev = heap.front().event;
+        curTick = heap.front().when;
         std::pop_heap(heap.begin(), heap.end(), Later{});
         heap.pop_back();
+        ev->_scheduled = false;
+        if (trace::observed()) [[unlikely]]
+            observeDispatch(ev);
+        return ev;
     }
 
     /**
@@ -517,23 +339,8 @@ class EventQueue
     advanceSpan(Tick limit)
     {
         std::uint64_t processed = 0;
-        while (!heap.empty()) {
-            const Entry &top = heap.front();
-            Event *ev = top.event;
-            if (isStale(top)) {
-                popTop();
-                maybeReclaimSquashed(ev);
-                continue;
-            }
-            if (top.when > limit)
-                break;
-            curTick = top.when;
-            popTop();
-            ev->_scheduled = false;
-            --liveCount;
-            if (trace::observed()) [[unlikely]]
-                observeDispatch(ev);
-            ev->process();
+        while (!heap.empty() && heap.front().when <= limit) {
+            popNext()->process();
             ++processed;
         }
         dispatchedCount += processed;
@@ -575,50 +382,34 @@ class EventQueue
     }
 
     /**
-     * Dispatch the next runnable event at tick <= limit bracketed by
-     * two clock reads, attributing its time scaled by the dispatches
-     * since @p ts's previous sample on this queue. name() is
-     * captured before process(): pooled events may be recycled
-     * inside it.
-     * @return false if no runnable event remains at tick <= limit.
+     * Dispatch the next event at tick <= limit bracketed by two clock
+     * reads, attributing its time scaled by the dispatches since
+     * @p ts's previous sample on this queue. name() is captured
+     * before process(): pooled events may be reused inside it.
+     * @return false if no event remains at tick <= limit.
      */
     bool
     dispatchOneSampled(Tick limit, prof::ThreadState &ts)
     {
-        while (!heap.empty()) {
-            const Entry &top = heap.front();
-            Event *ev = top.event;
-            if (isStale(top)) {
-                popTop();
-                maybeReclaimSquashed(ev);
-                continue;
-            }
-            if (top.when > limit)
-                return false;
-            curTick = top.when;
-            popTop();
-            ev->_scheduled = false;
-            --liveCount;
-            if (trace::observed()) [[unlikely]]
-                observeDispatch(ev);
-            const char *name = ev->name();
-            std::uint64_t start = prof::nowNs();
-            ev->process();
-            std::uint64_t ns = prof::nowNs() - start;
-            ++dispatchedCount;
-            // Dispatches since the last sample on this queue; falls
-            // back to 1 when the thread last sampled another queue.
-            std::uint64_t weight = 1;
-            if (ts.sampleQueue == this &&
-                dispatchedCount > ts.sampleBaseDispatched)
-                weight = dispatchedCount - ts.sampleBaseDispatched;
-            prof::recordDispatch(name, ns, weight);
-            ts.sampleQueue = this;
-            ts.sampleBaseDispatched = dispatchedCount;
-            ts.noteSample(curTick, weight);
-            return true;
-        }
-        return false;
+        if (heap.empty() || heap.front().when > limit)
+            return false;
+        Event *ev = popNext();
+        const char *name = ev->name();
+        std::uint64_t start = prof::nowNs();
+        ev->process();
+        std::uint64_t ns = prof::nowNs() - start;
+        ++dispatchedCount;
+        // Dispatches since the last sample on this queue; falls back
+        // to 1 when the thread last sampled another queue.
+        std::uint64_t weight = 1;
+        if (ts.sampleQueue == this &&
+            dispatchedCount > ts.sampleBaseDispatched)
+            weight = dispatchedCount - ts.sampleBaseDispatched;
+        prof::recordDispatch(name, ns, weight);
+        ts.sampleQueue = this;
+        ts.sampleBaseDispatched = dispatchedCount;
+        ts.noteSample(curTick, weight);
+        return true;
     }
 
     [[gnu::cold]] [[gnu::noinline]] void
@@ -632,127 +423,28 @@ class EventQueue
         }
     }
 
-    /** A heap entry is stale if its event was descheduled or moved. */
-    static bool
-    isStale(const Entry &entry)
-    {
-        return !entry.event->_scheduled ||
-               entry.event->_sequence != entry.sequence;
-    }
-
-    /** Return a machinery-owned lambda to its owner's freelist. */
-    static void
-    recycle(LambdaEvent *ev)
-    {
-        if (ev->pooled)
-            return;
-        if (!ev->owner) {
-            delete ev;
-            return;
-        }
-        ev->pooled = true;
-        ev->func = nullptr;
-        ev->owner->lambdaPool.push_back(ev);
-    }
-
-    /** Return a machinery-owned tick callback to its freelist. */
-    static void
-    recycleCallback(TickCallbackEvent *ev)
-    {
-        if (ev->pooled)
-            return;
-        if (!ev->owner) {
-            delete ev;
-            return;
-        }
-        ev->pooled = true;
-        ev->func = nullptr;
-        ev->owner->callbackPool.push_back(ev);
-    }
-
-    /** Recycle either pooled one-shot flavour (ev must be alive). */
-    static void
-    recycleAny(Event *ev)
-    {
-        if (ev->_tickCallback)
-            recycleCallback(static_cast<TickCallbackEvent *>(ev));
-        else
-            recycle(static_cast<LambdaEvent *>(ev));
-    }
-
-    /**
-     * Reclaim a pooled one-shot whose squashed entry was just
-     * dropped. Only safe when the event is not live elsewhere
-     * (rescheduled events carry a newer sequence and stay alive).
-     */
-    static void
-    maybeReclaimSquashed(Event *ev)
-    {
-        if (!ev->_scheduled && ev->selfDeleting())
-            recycleAny(ev);
-    }
-
-    /**
-     * Drop every stale entry and re-heapify. Dispatch order is
-     * unaffected: the comparator's (when, priority, sequence) is a
-     * total order over live entries, which make_heap re-establishes
-     * exactly. Squashed self-deleting events are reclaimed here the
-     * same way the lazy pop path would have.
-     */
-    void
-    compact()
-    {
-        auto out = heap.begin();
-        for (auto &entry : heap) {
-            if (!isStale(entry)) {
-                *out++ = entry;
-                continue;
-            }
-            // Stale entries of live events (rescheduled under a newer
-            // sequence) are dropped but their event stays alive.
-            if (entry.selfDel)
-                maybeReclaimSquashed(entry.event);
-        }
-        heap.erase(out, heap.end());
-        std::make_heap(heap.begin(), heap.end(), Later{});
-        ++compactionCount;
-    }
-
     // Member order is deliberate: the per-schedule/per-dispatch state
-    // (current tick, sequence counter, live count) sits together right
-    // behind the heap vector so the hot paths touch as few cache lines
-    // as possible; pools and bookkeeping counters follow.
+    // (current tick, sequence counter) sits together right behind the
+    // heap vector so the hot paths touch as few cache lines as
+    // possible; the pool and bookkeeping counters follow.
     std::vector<Entry> heap;
     Tick curTick = 0;
     std::uint64_t nextSequence = 0;
-    std::size_t liveCount = 0;
-    std::vector<LambdaEvent *> lambdaPool;
     std::vector<TickCallbackEvent *> callbackPool;
     /** Cumulative dispatched events; weights profiler samples. */
     std::uint64_t dispatchedCount = 0;
-    std::size_t lambdaAllocatedCount = 0;
-    std::size_t callbackAllocatedCount = 0;
-    std::uint64_t compactionCount = 0;
+    /** Every pooled one-shot this queue made; frees them at teardown. */
+    std::vector<std::unique_ptr<TickCallbackEvent>> callbackEvents;
 };
-
-inline void
-LambdaEvent::process()
-{
-    // Move the callable out first: it may reschedule, and a pooled
-    // event can be handed out again from inside fn().
-    auto fn = std::move(func);
-    EventQueue::recycle(this);
-    fn();
-}
 
 inline void
 TickCallbackEvent::process()
 {
-    // Capture the fire tick before recycling: a rearm from inside
-    // fn() would overwrite it.
+    // Capture the fire tick and the callable before releasing: fn()
+    // may schedule a callback that reuses this very event.
     Tick t = when();
     auto fn = std::move(func);
-    EventQueue::recycleCallback(this);
+    owner.release(this);
     fn(t);
 }
 

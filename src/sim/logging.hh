@@ -139,6 +139,22 @@ fatal(const std::string &fmt, const Args &...args)
     throw FatalError(msg);
 }
 
+/**
+ * Run a program's main body, turning a FatalError (bad input;
+ * fatal() has already printed the message) into exit status 1. A
+ * PanicError (a simulator bug) still propagates and aborts.
+ */
+template <typename Body>
+int
+exitOnFatal(Body &&body)
+{
+    try {
+        return body();
+    } catch (const FatalError &) {
+        return 1;
+    }
+}
+
 /** Report a suspicious but survivable condition. */
 template <typename... Args>
 void

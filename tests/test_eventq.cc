@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "sim/eventq.hh"
@@ -82,8 +83,8 @@ TEST(EventQueue, PriorityBeatsSequenceAtSameTick)
     LogEvent low(&log, 1);
     std::vector<int> *lp = &log;
     eq.schedule(&low, 5);
-    eq.scheduleFunc(
-        5, [lp]() { lp->push_back(2); }, -1);
+    eq.scheduleCallback(
+        5, [lp](Tick) { lp->push_back(2); }, -1);
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{2, 1}));
 }
@@ -124,15 +125,12 @@ TEST(EventQueue, AdvanceToWithNothingDueOnlyMovesTime)
     eq.schedule(&a, 20);
     eq.schedule(&b, 30);
     eq.schedule(&c, 40);
-    // A squashed entry on top, due after the limit: nothing fires,
-    // the stale entry stays, and order afterwards is unchanged.
+    // The earliest event descheduled: nothing fires before the next
+    // one, and order afterwards is unchanged.
     eq.deschedule(&a);
     EXPECT_EQ(eq.advanceTo(19), 0u);
     EXPECT_EQ(eq.now(), 19u);
-    EXPECT_EQ(eq.staleCount(), 1u);
-    // A squashed top due before the limit goes the full path.
     EXPECT_EQ(eq.advanceTo(25), 0u);
-    EXPECT_EQ(eq.staleCount(), 0u);
     EXPECT_EQ(eq.now(), 25u);
     EXPECT_EQ(eq.advanceTo(40), 2u);
     EXPECT_EQ(log, (std::vector<int>{2, 3}));
@@ -158,7 +156,8 @@ TEST(EventQueue, RescheduleMovesEvent)
     LogEvent a(&log, 1), b(&log, 2);
     eq.schedule(&a, 10);
     eq.schedule(&b, 20);
-    eq.reschedule(&a, 30);
+    eq.deschedule(&a);
+    eq.schedule(&a, 30);
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{2, 1}));
     EXPECT_EQ(eq.now(), 30u);
@@ -168,8 +167,8 @@ TEST(EventQueue, LambdaEventsSelfDelete)
 {
     EventQueue eq;
     int fired = 0;
-    eq.scheduleFunc(5, [&fired]() { ++fired; });
-    eq.scheduleFunc(6, [&fired]() { ++fired; });
+    eq.scheduleCallback(5, [&fired](Tick) { ++fired; });
+    eq.scheduleCallback(6, [&fired](Tick) { ++fired; });
     eq.run();
     EXPECT_EQ(fired, 2);
     EXPECT_TRUE(eq.empty());
@@ -179,9 +178,9 @@ TEST(EventQueue, EventsScheduledDuringProcessing)
 {
     EventQueue eq;
     std::vector<Tick> ticks;
-    eq.scheduleFunc(10, [&]() {
+    eq.scheduleCallback(10, [&](Tick) {
         ticks.push_back(eq.now());
-        eq.scheduleFunc(15, [&]() { ticks.push_back(eq.now()); });
+        eq.scheduleCallback(15, [&](Tick) { ticks.push_back(eq.now()); });
     });
     eq.run();
     EXPECT_EQ(ticks, (std::vector<Tick>{10, 15}));
@@ -190,10 +189,10 @@ TEST(EventQueue, EventsScheduledDuringProcessing)
 TEST(EventQueue, SchedulingInPastPanics)
 {
     EventQueue eq;
-    eq.scheduleFunc(10, []() {});
+    eq.scheduleCallback(10, [](Tick) {});
     eq.run();
     EXPECT_EQ(eq.now(), 10u);
-    EXPECT_THROW(eq.scheduleFunc(5, []() {}), PanicError);
+    EXPECT_THROW(eq.scheduleCallback(5, [](Tick) {}), PanicError);
 }
 
 TEST(EventQueue, DoubleSchedulePanics)
@@ -210,8 +209,8 @@ TEST(EventQueue, RunUpToMaxTick)
 {
     EventQueue eq;
     int fired = 0;
-    eq.scheduleFunc(10, [&]() { ++fired; });
-    eq.scheduleFunc(100, [&]() { ++fired; });
+    eq.scheduleCallback(10, [&](Tick) { ++fired; });
+    eq.scheduleCallback(100, [&](Tick) { ++fired; });
     eq.run(50);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.now(), 50u);
@@ -250,18 +249,18 @@ TEST(EventQueue, LambdaPoolReusesEvents)
 {
     EventQueue eq;
     int fired = 0;
-    // Sequential one-shots: after the first fires, every later
-    // scheduleFunc should reuse the pooled event instead of
-    // allocating a new one.
+    // Sequential one-shots at absolute ticks: after the first fires,
+    // every later scheduleCallback should reuse the pooled event
+    // instead of allocating a new one.
     for (int i = 0; i < 100; ++i) {
-        eq.scheduleFunc(static_cast<Tick>(i + 1),
-                        [&fired]() { ++fired; });
+        eq.scheduleCallback(static_cast<Tick>(i + 1),
+                            [&fired](Tick) { ++fired; });
         eq.run();
     }
     EXPECT_EQ(fired, 100);
-    EXPECT_EQ(eq.lambdaAllocated(), 1u);
-    EXPECT_EQ(eq.lambdaPoolSize(), 1u);
-    EXPECT_EQ(eq.lambdaOutstanding(), 0u);
+    EXPECT_EQ(eq.callbackAllocated(), 1u);
+    EXPECT_EQ(eq.callbackPoolSize(), 1u);
+    EXPECT_EQ(eq.callbackOutstanding(), 0u);
 }
 
 TEST(EventQueue, LambdaPoolDrainsEmptyAfterRun)
@@ -271,32 +270,19 @@ TEST(EventQueue, LambdaPoolDrainsEmptyAfterRun)
     // Burst of overlapping one-shots, including events scheduled from
     // inside handlers (the L1-miss pattern).
     for (int i = 0; i < 50; ++i) {
-        eq.scheduleFunc(static_cast<Tick>(i % 7 + 1), [&]() {
+        eq.scheduleCallback(static_cast<Tick>(i % 7 + 1), [&](Tick) {
             ++fired;
             if (fired < 200)
-                eq.scheduleFunc(eq.now() + 3, [&]() { ++fired; });
+                eq.scheduleCallback(eq.now() + 3,
+                                    [&](Tick) { ++fired; });
         });
     }
     eq.run();
     EXPECT_TRUE(eq.empty());
-    // Every machinery-owned lambda must be back in the freelist.
-    EXPECT_EQ(eq.lambdaOutstanding(), 0u);
-    EXPECT_GT(eq.lambdaAllocated(), 0u);
-    EXPECT_LT(eq.lambdaAllocated(), 51u);
-}
-
-TEST(EventQueue, SquashedLambdaReturnsToPool)
-{
-    EventQueue eq;
-    int fired = 0;
-    Event *ev = eq.scheduleFunc(10, [&fired]() { ++fired; });
-    eq.deschedule(ev);
-    eq.scheduleFunc(20, [&fired]() { fired += 10; });
-    eq.run();
-    // The squashed lambda never fires but is reclaimed when its stale
-    // heap entry pops.
-    EXPECT_EQ(fired, 10);
-    EXPECT_EQ(eq.lambdaOutstanding(), 0u);
+    // Every pooled one-shot must be back in the freelist.
+    EXPECT_EQ(eq.callbackOutstanding(), 0u);
+    EXPECT_GT(eq.callbackAllocated(), 0u);
+    EXPECT_LT(eq.callbackAllocated(), 51u);
 }
 
 TEST(EventQueue, ManyEventsStressOrdering)
@@ -306,7 +292,7 @@ TEST(EventQueue, ManyEventsStressOrdering)
     bool monotone = true;
     for (int i = 0; i < 1000; ++i) {
         Tick when = static_cast<Tick>((i * 7919) % 1000 + 1);
-        eq.scheduleFunc(when, [&, when]() {
+        eq.scheduleCallback(when, [&](Tick) {
             if (eq.now() < last)
                 monotone = false;
             last = eq.now();
@@ -343,27 +329,15 @@ TEST(EventQueue, TickCallbackPoolRecycles)
     EXPECT_EQ(eq.callbackOutstanding(), 0u);
 }
 
-TEST(EventQueue, SquashedTickCallbackReturnsToPool)
-{
-    EventQueue eq;
-    int fired = 0;
-    Event *ev = eq.scheduleCallback(10, [&fired](Tick) { ++fired; });
-    eq.deschedule(ev);
-    eq.scheduleCallback(20, [&fired](Tick) { fired += 10; });
-    eq.run();
-    EXPECT_EQ(fired, 10);
-    EXPECT_EQ(eq.callbackOutstanding(), 0u);
-}
-
 TEST(EventQueue, TypedAndLambdaPathsInterleaveInOrder)
 {
-    // The hot-path conversion relies on typed events and lambda
-    // events sharing one total order (when, priority, sequence)
+    // The hot-path conversion relies on typed events and pooled
+    // one-shots sharing one total order (when, priority, sequence)
     // regardless of which API scheduled them.
     EventQueue eq;
     std::vector<int> log;
     LogEvent typed(&log, 1);
-    eq.scheduleFunc(10, [&log]() { log.push_back(2); });
+    eq.scheduleCallback(10, [&log](Tick) { log.push_back(2); });
     eq.schedule(&typed, 10);
     eq.scheduleCallback(10, [&log](Tick) { log.push_back(3); });
     eq.run();
@@ -371,79 +345,23 @@ TEST(EventQueue, TypedAndLambdaPathsInterleaveInOrder)
     EXPECT_EQ(log, (std::vector<int>{2, 1, 3}));
 }
 
-TEST(EventQueue, StaleCountTracksSquashedEntries)
-{
-    EventQueue eq;
-    int fired = 0;
-    std::vector<Event *> events;
-    for (int i = 0; i < 10; ++i)
-        events.push_back(eq.scheduleCallback(
-            static_cast<Tick>(100 + i), [&fired](Tick) { ++fired; }));
-    EXPECT_EQ(eq.heapSize(), 10u);
-    EXPECT_EQ(eq.staleCount(), 0u);
-    for (int i = 0; i < 4; ++i)
-        eq.deschedule(events[static_cast<std::size_t>(i)]);
-    // Invariant: live entries + stale entries == heap entries.
-    EXPECT_EQ(eq.size(), 6u);
-    EXPECT_EQ(eq.staleCount(), 4u);
-    EXPECT_EQ(eq.heapSize(), eq.size() + eq.staleCount());
-    eq.run();
-    EXPECT_EQ(fired, 6);
-    EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.staleCount(), 0u);
-}
-
-TEST(EventQueue, CompactionBoundsStaleEntries)
-{
-    EventQueue eq;
-    int fired = 0;
-    // Far-future churn: schedule and immediately squash, never
-    // advancing time, so stale entries can only leave via compaction.
-    for (int i = 0; i < 10'000; ++i) {
-        Event *ev = eq.scheduleCallback(
-            static_cast<Tick>(1'000'000 + i),
-            [&fired](Tick) { ++fired; });
-        eq.deschedule(ev);
-        // The compaction policy caps stale entries at 2x live (once
-        // past the small-heap threshold).
-        if (eq.heapSize() > 64) {
-            EXPECT_LE(eq.staleCount(), 2 * eq.size() + 1);
-        }
-        EXPECT_EQ(eq.heapSize(), eq.size() + eq.staleCount());
-    }
-    EXPECT_GT(eq.compactions(), 0u);
-    EXPECT_EQ(eq.size(), 0u);
-    // A live sentinel past every squashed tick forces run() to drain
-    // the remaining stale entries (with no live events it would
-    // return immediately and leave them for the destructor).
-    bool sentinel = false;
-    eq.scheduleCallback(2'000'000, [&sentinel](Tick) {
-        sentinel = true;
-    });
-    eq.run();
-    EXPECT_EQ(fired, 0);
-    EXPECT_TRUE(sentinel);
-    // Every squashed pooled callback was reclaimed — by compaction
-    // for the bulk, by the stale-entry pop in run() for the tail —
-    // rather than leaked into dead heap entries.
-    EXPECT_EQ(eq.callbackOutstanding(), 0u);
-}
-
-TEST(EventQueue, CompactionPreservesDispatchOrder)
+TEST(EventQueue, ManyDeschedulesPreserveDispatchOrder)
 {
     EventQueue eq;
     std::vector<int> log;
-    std::vector<Event *> doomed;
-    // Interleave keepers and victims at adversarial ticks so the
-    // compacted heap must re-establish ordering from scratch.
+    std::vector<std::unique_ptr<LogEvent>> keepers, doomed;
+    // Interleave keepers and victims at adversarial ticks so every
+    // deschedule re-heapifies a heap with many equal ticks.
     for (int i = 0; i < 500; ++i) {
         Tick when = static_cast<Tick>((i * 7919) % 997 + 1);
-        eq.scheduleCallback(when, [&log, i](Tick) { log.push_back(i); });
-        doomed.push_back(eq.scheduleCallback(
-            when, [&log](Tick) { log.push_back(-1); }));
+        keepers.push_back(std::make_unique<LogEvent>(&log, i));
+        eq.schedule(keepers.back().get(), when);
+        doomed.push_back(std::make_unique<LogEvent>(&log, -1));
+        eq.schedule(doomed.back().get(), when);
     }
-    for (Event *ev : doomed)
-        eq.deschedule(ev);
+    for (auto &ev : doomed)
+        eq.deschedule(ev.get());
+    EXPECT_EQ(eq.size(), 500u);
     eq.run();
     ASSERT_EQ(log.size(), 500u);
     // Expected order: by tick, ties by schedule order (ascending i).
@@ -455,4 +373,22 @@ TEST(EventQueue, CompactionPreservesDispatchOrder)
                          return (a * 7919) % 997 < (b * 7919) % 997;
                      });
     EXPECT_EQ(log, expected);
+}
+
+TEST(EventQueue, DescheduledEventMayBeDestroyedBeforeTheQueueAdvances)
+{
+    // Deschedule removes the heap entry at once, so the queue never
+    // touches the event again: its owner may free it right away.
+    EventQueue eq;
+    std::vector<int> log;
+    LogEvent survivor(&log, 2);
+    auto doomed = std::make_unique<LogEvent>(&log, 1);
+    eq.schedule(doomed.get(), 10);
+    eq.schedule(&survivor, 20);
+    eq.deschedule(doomed.get());
+    doomed.reset();
+    EXPECT_EQ(eq.size(), 1u);
+    EXPECT_EQ(eq.nextTick(), 20u);
+    EXPECT_EQ(eq.advanceTo(200), 1u);
+    EXPECT_EQ(log, (std::vector<int>{2}));
 }

@@ -43,8 +43,7 @@ class FakeL2 : public L2Cache
             return;
         }
         Tick done = req.issued + latency;
-        eventq.scheduleFunc(done,
-                            [cb = std::move(cb), done]() { cb(done); });
+        eventq.scheduleCallback(done, std::move(cb));
     }
 
     void

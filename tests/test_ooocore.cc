@@ -42,8 +42,7 @@ class FixedL2 : public L2Cache
             return;
         }
         Tick done = req.issued + latency;
-        eventq.scheduleFunc(done,
-                            [cb = std::move(cb), done]() { cb(done); });
+        eventq.scheduleCallback(done, std::move(cb));
     }
 
     void accessFunctional(Addr, AccessType) override {}

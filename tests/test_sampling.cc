@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <memory>
+#include <random>
 #include <sstream>
 #include <vector>
 
@@ -72,6 +75,52 @@ weighted(const RunResult &result, double weight)
     run.rep.weight = weight;
     run.rep.instructions = result.instructions;
     return run;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << is.rdbuf();
+    return bytes.str();
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Truncate, bit-flip or splice in a slice of one of @p donors. */
+std::string
+mutate(const std::string &image, const std::vector<std::string> &donors,
+       std::mt19937_64 &rng)
+{
+    auto below = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    std::string mutant = image;
+    switch (below(3)) {
+      case 0:
+        mutant.resize(below(mutant.size()));
+        break;
+      case 1:
+        for (std::size_t flips = 1 + below(3); flips; --flips)
+            mutant[below(mutant.size())] ^=
+                static_cast<char>(1u << below(8));
+        break;
+      default: {
+        const std::string &donor = donors[below(donors.size())];
+        std::size_t from = below(donor.size());
+        std::size_t len = below(donor.size() - from) + 1;
+        std::size_t at = below(mutant.size());
+        mutant.replace(at, below(mutant.size() - at),
+                       donor.substr(from, len));
+      }
+    }
+    return mutant;
 }
 
 } // namespace
@@ -152,9 +201,9 @@ TEST(Sampling, PlanCacheRoundTrip)
     std::string key =
         samplingPlanKey(trace.contentHash(), 20000, 3, 0);
     SamplingPlan loaded;
-    EXPECT_FALSE(cache.loadPlan(key, loaded));
+    EXPECT_FALSE(cache.loadPlan(key, trace, loaded));
     cache.storePlan(key, plan);
-    ASSERT_TRUE(cache.loadPlan(key, loaded));
+    ASSERT_TRUE(cache.loadPlan(key, trace, loaded));
 
     EXPECT_EQ(loaded.intervalInstructions, plan.intervalInstructions);
     EXPECT_EQ(loaded.numIntervals, plan.numIntervals);
@@ -222,6 +271,128 @@ TEST(Sampling, CheckpointResumeIsByteIdenticalToColdWarm)
     }
     EXPECT_EQ(cold.aggregate.cycles, resumed.aggregate.cycles);
     EXPECT_EQ(cold.aggregate.ipc, resumed.aggregate.ipc);
+}
+
+TEST(Sampling, UnreadableCheckpointsWarmCold)
+{
+    TraceFile trace = makeTrace("gcc", 150000);
+    TraceRunOptions options;
+    options.config = SystemConfig{};
+    options.intervalInstructions = 25000;
+    options.maxIntervals = 2;
+    options.checkpointDir = freshDir("warm_cold");
+    SampledTraceOutcome cold = runSampledTrace(trace, options);
+    ASSERT_GT(cold.checkpointStores, 0u);
+
+    // Tear every stored checkpoint: each load misses, the run warms
+    // cold (and stores afresh), and the results do not move.
+    std::size_t torn = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(options.checkpointDir)) {
+        if (entry.path().extension() != ".tlwc")
+            continue;
+        std::string bytes = readFile(entry.path().string());
+        writeFile(entry.path().string(),
+                  bytes.substr(0, bytes.size() / 2));
+        ++torn;
+    }
+    ASSERT_EQ(torn, cold.checkpointStores);
+    SampledTraceOutcome again = runSampledTrace(trace, options);
+    EXPECT_EQ(again.checkpointHits, 0u);
+    EXPECT_EQ(again.checkpointStores, cold.checkpointStores);
+    ASSERT_EQ(again.intervals.size(), cold.intervals.size());
+    for (std::size_t i = 0; i < cold.intervals.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(again.intervals[i].result.cycles,
+                  cold.intervals[i].result.cycles);
+        EXPECT_EQ(again.intervals[i].result.l2MissesPer1k,
+                  cold.intervals[i].result.l2MissesPer1k);
+    }
+    EXPECT_EQ(again.aggregate.cycles, cold.aggregate.cycles);
+}
+
+TEST(Sampling, MutatedCheckpointsAndPlansAreRejectedCleanly)
+{
+    // Store one warm checkpoint per design family and the sampling
+    // plan they share, then load 1,000 rounds of truncated,
+    // bit-flipped and spliced copies. A mutant either fails to load
+    // or is exactly what the writer produces for the state it loaded
+    // (a flipped tag or LRU stamp is another valid machine state; the
+    // format carries no checksum). Nothing may crash or hang.
+    TraceFile trace = makeTrace("gcc", 60000);
+    TraceRunOptions options;
+    options.intervalInstructions = 20000;
+    options.maxIntervals = 2;
+    options.checkpointDir = freshDir("fuzz");
+    WarmCheckpointCache cache(options.checkpointDir);
+
+    struct Stored
+    {
+        std::string path;
+        std::string key;
+        std::uint64_t record;
+        std::string image;
+        std::unique_ptr<System> system;
+    };
+    std::vector<Stored> checkpoints;
+    for (const char *design : {"SNUCA2", "DNUCA", "TLC"}) {
+        options.config.design = design;
+        SampledTraceOutcome cold = runSampledTrace(trace, options);
+        const RepresentativeInterval &rep =
+            cold.plan.representatives.back();
+        ASSERT_GT(rep.startRecord, 0u);
+        std::string key = checkpointKey(trace.contentHash(),
+                                        rep.startRecord, options.config);
+        std::string path =
+            options.checkpointDir + "/warm_" + key + ".tlwc";
+        checkpoints.push_back({path, key, rep.startRecord,
+                               readFile(path),
+                               std::make_unique<System>(options.config)});
+        ASSERT_TRUE(cache.load(key, *checkpoints.back().system,
+                               rep.startRecord));
+    }
+    std::string plan_key = samplingPlanKey(
+        trace.contentHash(), options.intervalInstructions,
+        options.maxIntervals, options.seed);
+    std::string plan_path =
+        options.checkpointDir + "/plan_" + plan_key + ".tlsp";
+    std::string plan_image = readFile(plan_path);
+
+    std::vector<std::string> donors{plan_image};
+    for (const Stored &stored : checkpoints)
+        donors.push_back(stored.image);
+
+    std::mt19937_64 rng(9973);
+    std::size_t loaded = 0;
+    std::size_t rejected = 0;
+    for (int round = 0; round < 1000; ++round) {
+        for (Stored &stored : checkpoints) {
+            std::string mutant = mutate(stored.image, donors, rng);
+            writeFile(stored.path, mutant);
+            if (!cache.load(stored.key, *stored.system, stored.record)) {
+                ++rejected;
+                continue;
+            }
+            ++loaded;
+            // Header (magic + record) then the machine's state.
+            std::ostringstream resaved(std::ios::binary);
+            resaved.write(mutant.data(), 16);
+            ASSERT_TRUE(stored.system->saveWarmState(resaved));
+            ASSERT_EQ(resaved.str(), mutant);
+        }
+        std::string mutant = mutate(plan_image, donors, rng);
+        writeFile(plan_path, mutant);
+        SamplingPlan plan;
+        if (!cache.loadPlan(plan_key, trace, plan)) {
+            ++rejected;
+            continue;
+        }
+        ++loaded;
+        cache.storePlan(plan_key, plan);
+        ASSERT_EQ(readFile(plan_path), mutant);
+    }
+    EXPECT_GT(loaded, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 TEST(Sampling, DisabledCheckpointDirMatchesEnabled)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -148,7 +149,7 @@ TEST(StatSampler, PeriodicSamplesFormJsonLines)
     // Give the queue work up to tick 500; the sampler should fire at
     // 100, 200, 300, 400, 500 alongside it.
     for (Tick tick = 50; tick <= 550; tick += 100) {
-        eq.scheduleFunc(tick, [&t]() { t.requests += 1.0; });
+        eq.scheduleCallback(tick, [&t](Tick) { t.requests += 1.0; });
     }
     eq.advanceTo(520);
     sampler.stop();
@@ -188,11 +189,32 @@ TEST(StatSampler, StopPreventsFurtherSamples)
     std::ostringstream out;
     trace::StatSampler sampler(eq, t.root, 10, out);
     sampler.start();
-    eq.scheduleFunc(35, []() {});
+    eq.scheduleCallback(35, [](Tick) {});
     eq.advanceTo(35);
     EXPECT_EQ(sampler.samplesTaken(), 3u);
     sampler.stop();
-    eq.scheduleFunc(100, []() {});
+    eq.scheduleCallback(100, [](Tick) {});
     eq.run();
     EXPECT_EQ(sampler.samplesTaken(), 3u);
+}
+
+TEST(StatSampler, StoppedSamplerMayBeDestroyedBeforeTheQueueAdvances)
+{
+    // An observer tears its sampler down at the end of the measured
+    // phase while the queue lives on; the queue must not touch the
+    // destroyed sampler's event afterwards.
+    EventQueue eq;
+    TreeFixture t;
+    std::ostringstream out;
+    auto sampler =
+        std::make_unique<trace::StatSampler>(eq, t.root, 10, out);
+    sampler->start();
+    eq.advanceTo(5);
+    sampler->stop();
+    sampler.reset();
+    int fired = 0;
+    eq.scheduleCallback(100, [&fired](Tick) { ++fired; });
+    EXPECT_EQ(eq.advanceTo(200), 1u);
+    EXPECT_EQ(fired, 1);
+    EXPECT_TRUE(out.str().empty());
 }
