@@ -1,6 +1,7 @@
 #include "repro/reprocli.hh"
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -260,6 +261,44 @@ matchValue(int argc, char **argv, int &i, const char *key,
     return false;
 }
 
+/**
+ * Store a numeric flag's @p value, read as one JSON number token, in
+ * @p out: trailing junk, a sign, an exponent or a fraction is an
+ * error, not a silent truncation. On error prints "tlsim_repro: FLAG
+ * expects ..." and returns false.
+ */
+template <typename T>
+bool
+parseCount(const char *flag, const std::string &value, T &out,
+           std::uint64_t min = 0,
+           std::uint64_t max = UINT64_MAX)
+{
+    std::optional<std::uint64_t> n = json::parseU64(value);
+    if (!n || *n < min || *n > max) {
+        std::cerr << "tlsim_repro: " << flag << " expects an integer from "
+                  << min << " to " << max << ", got '" << value << "'\n";
+        return false;
+    }
+    out = *n;
+    return true;
+}
+
+/** parseCount for a real number. */
+template <typename T>
+bool
+parseReal(const char *flag, const std::string &value, T &out)
+{
+    std::optional<json::Value> token = json::parse(value);
+    std::optional<double> x = token ? token->asDouble() : std::nullopt;
+    if (!x) {
+        std::cerr << "tlsim_repro: " << flag << " expects a number, got '"
+                  << value << "'\n";
+        return false;
+    }
+    out = *x;
+    return true;
+}
+
 bool
 parseArgs(int argc, char **argv, CliOptions &opts)
 {
@@ -309,13 +348,14 @@ parseArgs(int argc, char **argv, CliOptions &opts)
             opts.isolate = value;
         } else if (matchValue(argc, argv, i, "--run-timeout",
                               value)) {
-            opts.runTimeoutSec = std::strtod(value.c_str(), nullptr);
+            if (!parseReal("--run-timeout", value, opts.runTimeoutSec))
+                return false;
         } else if (matchValue(argc, argv, i, "--rlimit-cpu", value)) {
-            opts.rlimitCpuSec =
-                std::strtoull(value.c_str(), nullptr, 10);
+            if (!parseCount("--rlimit-cpu", value, opts.rlimitCpuSec))
+                return false;
         } else if (matchValue(argc, argv, i, "--rlimit-rss", value)) {
-            opts.rlimitRssMb =
-                std::strtoull(value.c_str(), nullptr, 10);
+            if (!parseCount("--rlimit-rss", value, opts.rlimitRssMb))
+                return false;
         } else if (matchValue(argc, argv, i, "--journal",
                               opts.journalPath)) {
             continue;
@@ -323,16 +363,20 @@ parseArgs(int argc, char **argv, CliOptions &opts)
             opts.journalPath = value;
             opts.resume = true;
         } else if (matchValue(argc, argv, i, "--jobs", value)) {
-            opts.jobs = std::atoi(value.c_str());
+            if (!parseCount("--jobs", value, opts.jobs, 0, INT_MAX))
+                return false;
         } else if (matchValue(argc, argv, i, "--cores", value)) {
-            opts.cores = std::atoi(value.c_str());
+            if (!parseCount("--cores", value, opts.cores, 1, INT_MAX))
+                return false;
         } else if (matchValue(argc, argv, i, "--warm", value)) {
-            opts.warmup = std::strtoull(value.c_str(), nullptr, 10);
+            if (!parseCount("--warm", value, opts.warmup))
+                return false;
         } else if (matchValue(argc, argv, i, "--measure", value)) {
-            opts.measure = std::strtoull(value.c_str(), nullptr, 10);
+            if (!parseCount("--measure", value, opts.measure))
+                return false;
         } else if (matchValue(argc, argv, i, "--funcwarm", value)) {
-            opts.functionalWarm =
-                std::strtoull(value.c_str(), nullptr, 10);
+            if (!parseCount("--funcwarm", value, opts.functionalWarm))
+                return false;
         } else if (matchValue(argc, argv, i, "--mem-opt", value)) {
             std::size_t eq_pos = value.find('=');
             if (eq_pos == std::string::npos || eq_pos == 0) {
@@ -340,13 +384,15 @@ parseArgs(int argc, char **argv, CliOptions &opts)
                              ", got '" << value << "'\n";
                 return false;
             }
-            opts.memOpts.emplace_back(
-                value.substr(0, eq_pos),
-                std::strtod(value.c_str() + eq_pos + 1, nullptr));
+            double number = 0.0;
+            if (!parseReal("--mem-opt", value.substr(eq_pos + 1), number))
+                return false;
+            opts.memOpts.emplace_back(value.substr(0, eq_pos), number);
         } else if (matchValue(argc, argv, i, "--mem", value)) {
             opts.memBackend = value;
         } else if (matchValue(argc, argv, i, "--fault-ber", value)) {
-            opts.faultBer = std::strtod(value.c_str(), nullptr);
+            if (!parseReal("--fault-ber", value, opts.faultBer))
+                return false;
         } else if (matchValue(argc, argv, i, "--fault-dead-links",
                               value)) {
             opts.faultDeadLinks = value;
@@ -367,20 +413,22 @@ parseArgs(int argc, char **argv, CliOptions &opts)
                               opts.checkpointDir)) {
             continue;
         } else if (matchValue(argc, argv, i, "--intervals", value)) {
-            opts.intervals = static_cast<std::uint32_t>(
-                std::strtoul(value.c_str(), nullptr, 10));
+            if (!parseCount("--intervals", value, opts.intervals, 0,
+                            UINT32_MAX))
+                return false;
         } else if (matchValue(argc, argv, i, "--interval-size",
                               value)) {
-            opts.intervalSize =
-                std::strtoull(value.c_str(), nullptr, 10);
+            if (!parseCount("--interval-size", value, opts.intervalSize))
+                return false;
         } else if (std::strcmp(argv[i], "--heatmaps") == 0) {
             opts.heatmaps = true;
         } else if (std::strcmp(argv[i], "--progress") == 0) {
             opts.progress = true;
         } else if (matchValue(argc, argv, i, "--heatmap-window",
                               value)) {
-            opts.heatmapWindow =
-                std::strtoull(value.c_str(), nullptr, 10);
+            if (!parseCount("--heatmap-window", value,
+                            opts.heatmapWindow))
+                return false;
         } else {
             std::cerr << "tlsim_repro: unknown argument '" << argv[i]
                       << "'\n\n";

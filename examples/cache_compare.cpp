@@ -6,10 +6,11 @@
  *   $ ./examples/cache_compare [benchmark] [instructions]
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "harness/system.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/table.hh"
 #include "sim/trace/options.hh"
@@ -24,8 +25,14 @@ run(int argc, char **argv)
 {
     trace::Observability obs(argc, argv);
     std::string bench = argc > 1 ? argv[1] : "mcf";
-    std::uint64_t instructions =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 3'000'000;
+    std::uint64_t instructions = 3'000'000;
+    if (argc > 2) {
+        std::optional<std::uint64_t> n = json::parseU64(argv[2]);
+        if (!n)
+            fatal("instructions expects a non-negative integer, got '{}'",
+                  argv[2]);
+        instructions = *n;
+    }
     const auto &profile = workload::profileByName(bench);
 
     TextTable table("SNUCA2 vs DNUCA vs TLC on '" + bench + "'");

@@ -15,11 +15,12 @@
  *   --debug-flags=L2,NoC         debug prints to stderr
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
 
 #include "harness/system.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/table.hh"
 #include "sim/trace/options.hh"
@@ -35,8 +36,14 @@ run(int argc, char **argv)
     trace::Observability obs(argc, argv);
 
     std::string bench = argc > 1 ? argv[1] : "gcc";
-    std::uint64_t instructions =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2'000'000;
+    std::uint64_t instructions = 2'000'000;
+    if (argc > 2) {
+        std::optional<std::uint64_t> n = json::parseU64(argv[2]);
+        if (!n)
+            fatal("instructions expects a non-negative integer, got '{}'",
+                  argv[2]);
+        instructions = *n;
+    }
 
     // 1. Pick a workload profile (the 12 paper benchmarks ship with
     //    the library; see workload::paperBenchmarks()).

@@ -7,13 +7,14 @@
  *   $ ./examples/signal_integrity [length_cm]
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "phys/fieldsolver.hh"
 #include "phys/geometry.hh"
 #include "phys/pulse.hh"
 #include "phys/technology.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/table.hh"
 
@@ -26,7 +27,14 @@ namespace
 int
 run(int argc, char **argv)
 {
-    double length_cm = argc > 1 ? std::strtod(argv[1], nullptr) : 1.1;
+    double length_cm = 1.1;
+    if (argc > 1) {
+        std::optional<json::Value> token = json::parse(argv[1]);
+        std::optional<double> x = token ? token->asDouble() : std::nullopt;
+        if (!x || *x <= 0.0)
+            fatal("length_cm expects a positive number, got '{}'", argv[1]);
+        length_cm = *x;
+    }
     double length = length_cm * 1e-2;
 
     const Technology &tech = tech45();

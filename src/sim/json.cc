@@ -360,6 +360,13 @@ parse(std::string_view text, std::string *error)
     return Parser(text).document(error);
 }
 
+std::optional<std::uint64_t>
+parseU64(std::string_view text)
+{
+    std::optional<Value> v = parse(text);
+    return v ? v->asU64() : std::nullopt;
+}
+
 std::string
 escape(std::string_view text)
 {

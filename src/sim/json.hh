@@ -86,6 +86,9 @@ struct Value
 std::optional<Value> parse(std::string_view text,
                            std::string *error = nullptr);
 
+/** @p text as one number token, converted exactly as by Value::asU64. */
+std::optional<std::uint64_t> parseU64(std::string_view text);
+
 /**
  * Escape @p text for a JSON string literal: '"' and '\\' and
  * \n, \r, \t get short escapes, other bytes below 0x20 become

@@ -3,7 +3,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/trace/debug.hh"
 
@@ -26,8 +28,9 @@ matchOption(const char *arg, const char *key, std::string &value)
     return true;
 }
 
+/** Fill what no flag set from the environment; @p period is the flag's. */
 void
-fillFromEnv(ObservabilityOptions &opts)
+fillFromEnv(ObservabilityOptions &opts, std::string period = {})
 {
     auto env_default = [](const char *name, std::string &value) {
         const char *env = std::getenv(name);
@@ -37,8 +40,14 @@ fillFromEnv(ObservabilityOptions &opts)
     env_default("TLSIM_TRACE_OUT", opts.traceOut);
     env_default("TLSIM_STATS_JSON", opts.statsJson);
     env_default("TLSIM_STATS_SERIES", opts.statsSeries);
-    if (const char *env = std::getenv("TLSIM_STATS_PERIOD"))
-        opts.statsPeriod = std::strtoull(env, nullptr, 10);
+    env_default("TLSIM_STATS_PERIOD", period);
+    if (period.empty())
+        return;
+    std::optional<std::uint64_t> n = json::parseU64(period);
+    if (!n)
+        fatal("--stats-period expects a non-negative integer, got '{}'",
+              period);
+    opts.statsPeriod = *n;
 }
 
 } // namespace
@@ -60,9 +69,7 @@ parseObservabilityArgs(int &argc, char **argv)
         argv[out++] = argv[i];
     }
     argc = out;
-    if (!period.empty())
-        opts.statsPeriod = std::strtoull(period.c_str(), nullptr, 10);
-    fillFromEnv(opts);
+    fillFromEnv(opts, period);
     return opts;
 }
 
