@@ -68,16 +68,14 @@ struct CliOptions
     std::optional<std::string> faultDramStuckBanks;
     bool faultMargin = false;
     /** Robustness (docs/ROBUSTNESS.md). */
-    std::string isolate = "thread";
+    harness::sweep::Isolation isolate = harness::sweep::Isolation::Thread;
     double runTimeoutSec = 0.0;
     std::uint64_t rlimitCpuSec = 0;
     std::uint64_t rlimitRssMb = 0;
     std::string journalPath;
     bool resume = false;
     bool fsckCache = false;
-    /** Telemetry v2: fleet metrics, run ledger, profiler, heatmaps. */
-    std::string metricsOut;
-    std::string manifestOut;
+    /** Telemetry: profiler, heatmaps, live progress. */
     std::string profOut;
     bool heatmaps = false;
     bool progress = false;
@@ -176,8 +174,8 @@ printUsage(std::ostream &os)
           "'id@tick,...' (enables fault injection)\n"
           "  --fault-margin      scale bit errors by each line's "
           "signal-integrity margin\n"
-          "  --isolate MODE      run containment: none, thread "
-          "(default), or process\n"
+          "  --isolate MODE      run containment: thread (default) or "
+          "process\n"
           "                      (forked, rlimit-capped child per "
           "run; crashes become per-run errors)\n"
           "  --run-timeout SEC   per-run wall-clock timeout (process: "
@@ -197,9 +195,6 @@ printUsage(std::ostream &os)
           "  --quiet             suppress per-run progress\n"
           "  --progress          live one-line sweep progress/ETA on "
           "stderr\n"
-          "  --metrics-out FILE  Prometheus text-format sweep metrics "
-          "(rewritten per completion)\n"
-          "  --manifest FILE     per-run JSONL ledger of the sweep\n"
           "  --prof-out FILE     enable the self-profiler; write "
           "collapsed stacks to FILE,\n"
           "                      attribution table to stderr\n"
@@ -328,24 +323,22 @@ parseArgs(int argc, char **argv, CliOptions &opts)
                               opts.traceOut) ||
                    matchValue(argc, argv, i, "--config",
                               opts.configFile) ||
-                   matchValue(argc, argv, i, "--metrics-out",
-                              opts.metricsOut) ||
-                   matchValue(argc, argv, i, "--manifest",
-                              opts.manifestOut) ||
                    matchValue(argc, argv, i, "--prof-out",
                               opts.profOut)) {
             continue;
         } else if (std::strcmp(argv[i], "--fsck-cache") == 0) {
             opts.fsckCache = true;
         } else if (matchValue(argc, argv, i, "--isolate", value)) {
-            if (value != "none" && value != "thread" &&
-                value != "process") {
-                std::cerr << "tlsim_repro: --isolate expects none, "
-                             "thread, or process, got '"
+            if (value == "thread") {
+                opts.isolate = harness::sweep::Isolation::Thread;
+            } else if (value == "process") {
+                opts.isolate = harness::sweep::Isolation::Process;
+            } else {
+                std::cerr << "tlsim_repro: --isolate expects thread or "
+                             "process, got '"
                           << value << "'\n";
                 return false;
             }
-            opts.isolate = value;
         } else if (matchValue(argc, argv, i, "--run-timeout",
                               value)) {
             if (!parseReal("--run-timeout", value, opts.runTimeoutSec))
@@ -781,15 +774,8 @@ reproMain(int argc, char **argv)
     sweep_opts.cacheDir = cache_dir;
     sweep_opts.captureStats = !opts.statsJson.empty();
     sweep_opts.verbose = !opts.quiet;
-    sweep_opts.metricsOut = opts.metricsOut;
-    sweep_opts.manifestOut = opts.manifestOut;
     sweep_opts.progress = opts.progress;
-    sweep_opts.isolate =
-        opts.isolate == "none"
-            ? harness::sweep::Isolation::None
-            : opts.isolate == "process"
-                  ? harness::sweep::Isolation::Process
-                  : harness::sweep::Isolation::Thread;
+    sweep_opts.isolate = opts.isolate;
     sweep_opts.runTimeoutSec = opts.runTimeoutSec;
     sweep_opts.rlimitCpuSec = opts.rlimitCpuSec;
     sweep_opts.rlimitRssMb = opts.rlimitRssMb;

@@ -45,8 +45,7 @@ inline constexpr const char *schemaName = "tlsim-journal-v1";
  * Line-oriented file whose every line is durable: writeLine appends
  * the line plus '\n' with one write(2) and fsyncs before returning,
  * so a crash at any instant leaves at most one torn *trailing* line,
- * never a lost earlier one. Used for the sweep journal and the sweep
- * manifest.
+ * never a lost earlier one. Backs the sweep journal (Writer).
  */
 class DurableLineFile
 {

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <sstream>
 #include <vector>
 
@@ -198,6 +199,14 @@ runSandboxed(const RunSpec &spec, bool capture_stats,
     if (crashed)
         *crashed = false;
 
+    // A child keeps every descriptor open at its fork. Were another
+    // worker to fork between this pipe() and the close of its write
+    // end below, that sibling's child would hold this run's write end,
+    // and this parent would see EOF only once the sibling exited: a
+    // healthy run would wait out a hung sibling, or time out with it.
+    // One lock held from pipe() to that close rules this out.
+    static std::mutex forkMutex;
+    std::unique_lock<std::mutex> forkLock(forkMutex);
     int fds[2];
     if (::pipe(fds) != 0)
         return failedResult(
@@ -227,6 +236,7 @@ runSandboxed(const RunSpec &spec, bool capture_stats,
         childMain(fds[1], spec, capture_stats, limits);
     }
     ::close(fds[1]);
+    forkLock.unlock();
 
     auto deadline = clock::now();
     bool hasDeadline = limits.wallTimeoutSec > 0.0;

@@ -14,9 +14,7 @@
 #include "harness/sweep/journal.hh"
 #include "harness/sweep/sandbox.hh"
 #include "phys/technology.hh"
-#include "sim/json.hh"
 #include "sim/logging.hh"
-#include "sim/metrics/metrics.hh"
 #include "workload/profile.hh"
 
 namespace tlsim
@@ -151,135 +149,6 @@ groupMisses(const std::vector<RunSpec> &specs,
     return groups;
 }
 
-/**
- * Fleet metrics of one sweep: a local Registry (not process-global,
- * so concurrent sweeps and tests stay isolated) plus the run ledger.
- * All mutation happens under the sweep's io_mutex.
- */
-class FleetTelemetry
-{
-  public:
-    FleetTelemetry(const SweepOptions &options, std::size_t total)
-        : metricsPath(options.metricsOut),
-          runsCached(registry.counter(
-              "tlsim_sweep_runs_total{result=\"cached\"}",
-              "Sweep runs by final result")),
-          runsExecuted(registry.counter(
-              "tlsim_sweep_runs_total{result=\"executed\"}",
-              "Sweep runs by final result")),
-          runsFailed(registry.counter(
-              "tlsim_sweep_runs_total{result=\"failed\"}",
-              "Sweep runs by final result")),
-          runsRestored(registry.counter(
-              "tlsim_sweep_runs_total{result=\"restored\"}",
-              "Sweep runs by final result")),
-          specsTotal(registry.gauge("tlsim_sweep_specs",
-                                    "Specs in the current sweep")),
-          specsDone(registry.gauge("tlsim_sweep_done",
-                                   "Specs resolved so far")),
-          linkRetries(registry.counter(
-              "tlsim_sweep_link_retries_total",
-              "Link-level CRC retries across executed runs")),
-          degraded(registry.counter(
-              "tlsim_sweep_degraded_requests_total",
-              "Requests served on a degraded path across executed "
-              "runs")),
-          wallMs(registry.histogram(
-              "tlsim_sweep_run_wall_milliseconds",
-              "Wall-clock time of executed runs"))
-    {
-        specsTotal.set(static_cast<double>(total));
-        if (!options.manifestOut.empty() &&
-            !manifest.open(options.manifestOut, /*append=*/false)) {
-            warn("cannot write sweep manifest '{}'",
-                 options.manifestOut);
-        }
-    }
-
-    /** Record one resolved spec; @p result may be null for cache hits. */
-    void
-    record(const RunSpec &spec, const char *outcome, double wall_ms,
-           const RunResult *result)
-    {
-        if (std::string{outcome} == "cached") {
-            runsCached.inc();
-        } else if (std::string{outcome} == "restored") {
-            runsRestored.inc();
-        } else if (result && !result->error.empty()) {
-            runsFailed.inc();
-        } else {
-            runsExecuted.inc();
-        }
-        specsDone.add(1.0);
-        if (result) {
-            linkRetries.inc(
-                static_cast<std::uint64_t>(result->linkRetries));
-            degraded.inc(static_cast<std::uint64_t>(
-                result->degradedRequests));
-        }
-        if (wall_ms >= 0.0)
-            wallMs.observe(static_cast<std::uint64_t>(wall_ms));
-
-        if (manifest.ok()) {
-            // Each record is one write(2) + fsync (DurableLineFile):
-            // a killed sweep never leaves a truncated final record.
-            std::ostringstream line;
-            line << "{\"schema\": \"tlsim-manifest-v1\", "
-                 << "\"spec\": \""
-                 << json::escape(specKey(spec))
-                 << "\", \"benchmark\": \""
-                 << json::escape(spec.benchmark)
-                 << "\", \"design\": \""
-                 << json::escape(spec.config.design)
-                 << "\", \"outcome\": \"" << outcome
-                 << "\", \"wall_ms\": "
-                 << (wall_ms >= 0.0 ? wall_ms : 0.0)
-                 << ", \"retries\": "
-                 << (result ? result->linkRetries : 0.0)
-                 << ", \"timeouts\": "
-                 << (result ? result->linkTimeouts : 0.0)
-                 << ", \"degraded\": "
-                 << (result ? result->degradedRequests : 0.0);
-            if (result && !result->error.empty()) {
-                line << ", \"error\": \""
-                     << json::escape(result->error) << "\"";
-            }
-            line << "}";
-            manifest.writeLine(line.str());
-        }
-        publish();
-    }
-
-    /** Rewrite the Prometheus snapshot (atomic tmp+rename). */
-    void
-    publish()
-    {
-        if (metricsPath.empty())
-            return;
-        if (!registry.writePrometheusFile(metricsPath) &&
-            !warnedWrite) {
-            warnedWrite = true;
-            warn("cannot write sweep metrics '{}'", metricsPath);
-        }
-    }
-
-  private:
-    metrics::Registry registry;
-    std::string metricsPath;
-    journal::DurableLineFile manifest;
-    bool warnedWrite = false;
-
-    metrics::Counter &runsCached;
-    metrics::Counter &runsExecuted;
-    metrics::Counter &runsFailed;
-    metrics::Counter &runsRestored;
-    metrics::Gauge &specsTotal;
-    metrics::Gauge &specsDone;
-    metrics::Counter &linkRetries;
-    metrics::Counter &degraded;
-    metrics::LogHistogram &wallMs;
-};
-
 /** Single-line progress/ETA display ("--progress"). */
 class ProgressLine
 {
@@ -393,9 +262,6 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
     if (!options.cacheDir.empty())
         cache.emplace(options.cacheDir);
 
-    std::optional<FleetTelemetry> telemetry;
-    if (!options.metricsOut.empty() || !options.manifestOut.empty())
-        telemetry.emplace(options, specs.size());
     std::optional<ProgressLine> progress;
     if (options.progress)
         progress.emplace(specs.size());
@@ -438,9 +304,6 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
             outcome.results[i] = std::move(run.result);
             outcome.statsJson[i] = std::move(run.stats);
             ++outcome.restored;
-            if (telemetry)
-                telemetry->record(specs[i], "restored", -1.0,
-                                  nullptr);
             continue;
         }
         if (cache) {
@@ -454,9 +317,6 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
                     jw->done(specKey(specs[i]), "cached", os.str(),
                              "");
                 }
-                if (telemetry)
-                    telemetry->record(specs[i], "cached", -1.0,
-                                      nullptr);
                 continue;
             }
         }
@@ -496,7 +356,7 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
         guard.emplace();
 
     std::atomic<std::size_t> next{0};
-    std::mutex io_mutex; // guards journal/cache/telemetry/progress IO
+    std::mutex io_mutex; // guards journal/cache/progress IO
     std::atomic<std::size_t> done{0};
     std::atomic<std::size_t> failures{0};
     std::atomic<std::size_t> replays{0};
@@ -523,12 +383,6 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
         bool crashed = false;
         RunResult result;
         switch (options.isolate) {
-          case Isolation::None:
-            result = detail::executeSpec(spec, options.captureStats,
-                                         outcome.statsJson[i],
-                                         options.runTimeoutSec, image,
-                                         use);
-            break;
           case Isolation::Thread:
             result = executeSpecIsolated(spec, options.captureStats,
                                          outcome.statsJson[i],
@@ -550,14 +404,14 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 std::chrono::steady_clock::now() - start);
         std::lock_guard<std::mutex> lock(io_mutex);
-        // Only successes are memoized: a cached failure would
-        // poison every later sweep with a stale crash.
-        if (cache && result.error.empty())
-            cache->store(spec, result);
-        if (!result.error.empty())
-            ++failures;
         bool failed_run = !result.error.empty();
         std::string error_text = result.error;
+        if (failed_run)
+            ++failures;
+        // Journal before the cache: a sweep killed between the two
+        // must leave a done record, which resume restores with its
+        // stats, not a cache entry that resume would take as a
+        // stats-less cache hit.
         if (jw) {
             if (failed_run) {
                 jw->failed(specKey(spec), error_text, crashed);
@@ -568,12 +422,11 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
                          outcome.statsJson[i]);
             }
         }
-        double wall_ms = static_cast<double>(elapsed.count());
-        executedWallMs += wall_ms;
-        if (telemetry) {
-            telemetry->record(spec, failed_run ? "failed" : "executed",
-                              wall_ms, &result);
-        }
+        // Only successes are memoized: a cached failure would
+        // poison every later sweep with a stale crash.
+        if (cache && !failed_run)
+            cache->store(spec, result);
+        executedWallMs += static_cast<double>(elapsed.count());
         outcome.results[i] = std::move(result);
         ++done;
         if (options.verbose) {
@@ -641,8 +494,6 @@ runSweep(const std::vector<RunSpec> &specs, const SweepOptions &options)
 
     if (progress)
         progress->finish();
-    if (telemetry)
-        telemetry->publish();
 
     outcome.executed = done.load();
     outcome.failed = failures.load();

@@ -46,7 +46,6 @@ namespace sweep
 /**
  * How a cache-miss run is contained (docs/ROBUSTNESS.md).
  *
- * - None: no containment — a panic unwinds the sweep (debugging).
  * - Thread: in-process try/catch; exceptions/panics become per-run
  *   errors, but a segfault/OOM/hang still kills the sweep.
  * - Process: each run executes in a forked, rlimit-capped child
@@ -55,7 +54,6 @@ namespace sweep
  */
 enum class Isolation
 {
-    None,
     Thread,
     Process,
 };
@@ -71,18 +69,6 @@ struct SweepOptions
     bool captureStats = false;
     /** Print per-run progress lines to stderr. */
     bool verbose = true;
-    /**
-     * Prometheus text-format metrics file; rewritten atomically after
-     * every run completion so an external scraper always sees a
-     * consistent snapshot. Empty disables.
-     */
-    std::string metricsOut;
-    /**
-     * Per-sweep run ledger (manifest.jsonl): one JSON record per
-     * spec — cached, executed, or failed — appended in completion
-     * order. Empty disables.
-     */
-    std::string manifestOut;
     /** Live single-line progress/ETA display on stderr. */
     bool progress = false;
     /** Run containment mode for cache misses. */

@@ -30,7 +30,7 @@ matchOption(const char *arg, const char *key, std::string &value)
 
 /** Fill what no flag set from the environment; @p period is the flag's. */
 void
-fillFromEnv(ObservabilityOptions &opts, std::string period = {})
+fillFromEnv(ObservabilityOptions &opts, std::string period)
 {
     auto env_default = [](const char *name, std::string &value) {
         const char *env = std::getenv(name);
@@ -75,18 +75,6 @@ parseObservabilityArgs(int &argc, char **argv)
 
 Observability::Observability(int &argc, char **argv)
     : opts(parseObservabilityArgs(argc, argv))
-{
-    applyOptions();
-}
-
-Observability::Observability()
-{
-    fillFromEnv(opts);
-    applyOptions();
-}
-
-void
-Observability::applyOptions()
 {
     if (!opts.debugFlags.empty())
         debug::setFlags(opts.debugFlags);

@@ -59,9 +59,6 @@ class Observability
   public:
     Observability(int &argc, char **argv);
 
-    /** Environment-only variant for harnesses without argv access. */
-    Observability();
-
     ~Observability();
 
     Observability(const Observability &) = delete;
@@ -85,8 +82,6 @@ class Observability
     void dumpFinalStats(const stats::StatGroup &group) const;
 
   private:
-    void applyOptions();
-
     ObservabilityOptions opts;
     std::unique_ptr<TraceSink> sink;
 };

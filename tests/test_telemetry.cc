@@ -2,21 +2,18 @@
  * @file
  * Tests for the telemetry subsystem: the self-profiler's scope tree
  * and report formats, spatial heatmaps (windowing, coarsening, JSON
- * export, stats-tree integration), the fleet metrics registry's
- * Prometheus exposition, and the enriched fault-diagnostic dumps.
+ * export, stats-tree integration), and the enriched fault-diagnostic
+ * dumps.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "mem/dram.hh"
 #include "phys/technology.hh"
 #include "sim/eventq.hh"
 #include "sim/metrics/heatmap.hh"
-#include "sim/metrics/metrics.hh"
 #include "sim/prof/prof.hh"
 #include "sim/stats.hh"
 #include "tlc/tlccache.hh"
@@ -258,101 +255,6 @@ TEST(Heatmap, DefaultWindowComesFromGlobalKnob)
     metrics::Heatmap knob(&root, "k", "test", 1);
     metrics::spatialWindowTicks = 0;
     EXPECT_EQ(knob.windowTicks(), 777u);
-}
-
-// ---------------------------------------------------------------- //
-// Fleet metrics registry                                           //
-// ---------------------------------------------------------------- //
-
-TEST(Metrics, CounterAndGaugeExposition)
-{
-    metrics::Registry reg;
-    reg.counter("tlsim_runs_total{result=\"ok\"}", "Runs by result")
-        .inc(3);
-    reg.counter("tlsim_runs_total{result=\"bad\"}", "Runs by result")
-        .inc();
-    reg.gauge("tlsim_specs", "Specs in the sweep").set(24);
-
-    std::ostringstream os;
-    reg.writePrometheus(os);
-    std::string text = os.str();
-    // One HELP/TYPE header per family, not per labeled series.
-    EXPECT_EQ(text.find("# HELP tlsim_runs_total Runs by result"),
-              text.rfind("# HELP tlsim_runs_total"));
-    EXPECT_NE(text.find("# TYPE tlsim_runs_total counter"),
-              std::string::npos);
-    EXPECT_NE(text.find("tlsim_runs_total{result=\"ok\"} 3"),
-              std::string::npos);
-    EXPECT_NE(text.find("tlsim_runs_total{result=\"bad\"} 1"),
-              std::string::npos);
-    EXPECT_NE(text.find("# TYPE tlsim_specs gauge"),
-              std::string::npos);
-    EXPECT_NE(text.find("tlsim_specs 24"), std::string::npos);
-}
-
-TEST(Metrics, RegistryReturnsSameInstrumentForSameName)
-{
-    metrics::Registry reg;
-    auto *a = &reg.counter("c", "help");
-    auto *b = &reg.counter("c", "help");
-    EXPECT_EQ(a, b);
-    a->inc(2);
-    EXPECT_EQ(b->get(), 2u);
-}
-
-TEST(Metrics, LogHistogramPercentilesAndCumulativeBuckets)
-{
-    metrics::Registry reg;
-    auto &h = reg.histogram("lat_ms", "Latency");
-    for (std::uint64_t v = 1; v <= 1000; ++v)
-        h.observe(v);
-
-    EXPECT_EQ(h.count(), 1000u);
-    EXPECT_EQ(h.sum(), 500'500u);
-    // Log-bucketed estimates: right order of magnitude, monotone.
-    EXPECT_GT(h.p50(), 250.0);
-    EXPECT_LT(h.p50(), 1024.0);
-    EXPECT_LE(h.p50(), h.p95());
-    EXPECT_LE(h.p95(), h.p99());
-
-    std::ostringstream os;
-    reg.writePrometheus(os);
-    std::string text = os.str();
-    EXPECT_NE(text.find("# TYPE lat_ms histogram"), std::string::npos);
-    EXPECT_NE(text.find("lat_ms_bucket{le=\"+Inf\"} 1000"),
-              std::string::npos);
-    EXPECT_NE(text.find("lat_ms_sum 500500"), std::string::npos);
-    EXPECT_NE(text.find("lat_ms_count 1000"), std::string::npos);
-
-    // Buckets are cumulative: each le line >= the previous one.
-    std::istringstream lines(text);
-    std::string line;
-    double prev = 0.0;
-    while (std::getline(lines, line)) {
-        if (line.rfind("lat_ms_bucket", 0) != 0)
-            continue;
-        double v = std::stod(line.substr(line.rfind(' ') + 1));
-        EXPECT_GE(v, prev) << line;
-        prev = v;
-    }
-}
-
-TEST(Metrics, PrometheusFileWriteIsAtomic)
-{
-    metrics::Registry reg;
-    reg.counter("c_total", "help").inc();
-    std::string path = ::testing::TempDir() + "tlsim_metrics.prom";
-    std::remove(path.c_str());
-    ASSERT_TRUE(reg.writePrometheusFile(path));
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.is_open());
-    std::stringstream text;
-    text << in.rdbuf();
-    EXPECT_NE(text.str().find("c_total 1"), std::string::npos);
-    // No .tmp litter after a successful rename.
-    EXPECT_FALSE(std::ifstream(path + ".tmp").is_open());
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------- //
