@@ -54,6 +54,7 @@ DdrBackend::DdrBackend(EventQueue &eq, stats::StatGroup *parent,
     channels.resize(static_cast<std::size_t>(p.channels));
     for (Channel &ch : channels) {
         ch.banks.resize(static_cast<std::size_t>(banksPerChan));
+        ch.queue.reserve(static_cast<std::size_t>(p.queueDepth));
         ch.nextRefreshAt = p.tREFI; // 0 disables refresh entirely
     }
 
@@ -247,12 +248,20 @@ DdrBackend::serviceCmd(int ch_idx, Channel &ch, Cmd cmd, Tick now)
                    finish, trace::tid::dram);
     }
 
-    eventq.scheduleCallback(finish,
-                            [this, cb = std::move(cmd.cb)](Tick t) {
-                                --outstanding;
-                                if (cb)
-                                    cb(t);
-                            });
+    FinishEvent *ev = finishEvents.acquire(*this);
+    ev->cb = std::move(cmd.cb);
+    eventq.schedule(ev, finish);
+}
+
+void
+DdrBackend::FinishEvent::process()
+{
+    // Back to the pool first: the callback may issue another read.
+    RespCallback done_cb = std::move(cb);
+    owner.finishEvents.release(this);
+    --owner.outstanding;
+    if (done_cb)
+        done_cb(when());
 }
 
 void

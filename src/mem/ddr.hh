@@ -27,12 +27,12 @@
 #define TLSIM_MEM_DDR_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "mem/membackend.hh"
 #include "sim/metrics/heatmap.hh"
+#include "sim/pool.hh"
 
 namespace tlsim
 {
@@ -125,10 +125,10 @@ class DdrBackend : public MemBackend
     struct Channel
     {
         std::vector<Bank> banks;
-        /** Bounded command queue, arrival order. */
-        std::deque<Cmd> queue;
+        /** Bounded command queue, arrival order (reserved up front). */
+        std::vector<Cmd> queue;
         /** Backpressured overflow, drained into queue as slots free. */
-        std::deque<Cmd> spill;
+        Fifo<Cmd> spill;
         Tick busFreeAt = 0;
         Tick nextRefreshAt = 0;
         /** Earliest pending wakeup (dedups kick events). */
@@ -143,6 +143,24 @@ class DdrBackend : public MemBackend
     /** Index into ch.queue of the next command, or -1 if none ready. */
     int pickCandidate(const Channel &ch, Tick now) const;
 
+    /**
+     * Pooled completion event: carries the read's callback (empty for
+     * writes) to the finish tick without wrapping it in a closure.
+     */
+    class FinishEvent : public Event
+    {
+      public:
+        explicit FinishEvent(DdrBackend &owner_) : owner(owner_) {}
+
+        void process() override;
+        const char *name() const override { return "DdrFinishEvent"; }
+
+        RespCallback cb;
+
+      private:
+        DdrBackend &owner;
+    };
+
     int
     globalBank(int ch_idx, int bank_idx) const
     {
@@ -156,6 +174,7 @@ class DdrBackend : public MemBackend
     std::vector<Channel> channels;
     /** Requests accepted and not yet completed (reads and writes). */
     int outstanding = 0;
+    Pool<FinishEvent> finishEvents;
 
     /** Per-DRAM-bank busy cycles; built when spatial telemetry is on. */
     std::unique_ptr<metrics::Heatmap> bankBusyHeatmap;

@@ -14,12 +14,7 @@ Dram::Dram(EventQueue &eq, stats::StatGroup *parent, Cycles latency_,
            int max_outstanding)
     : MemBackend(eq, parent), latency(latency_),
       maxOutstanding(max_outstanding)
-{
-    for (int i = 0; i < max_outstanding; ++i) {
-        finishEvents.emplace_back(*this);
-        finishEventFree.push_back(&finishEvents.back());
-    }
-}
+{}
 
 void
 Dram::read(Addr block_addr, Tick now, RespCallback cb)
@@ -62,10 +57,7 @@ Dram::startNext(Tick now)
                        trace::tid::dram);
         }
         RespCallback cb = std::move(pending.cb);
-        TLSIM_ASSERT(!finishEventFree.empty(),
-                     "DRAM finish event pool empty");
-        FinishEvent *ev = finishEventFree.back();
-        finishEventFree.pop_back();
+        FinishEvent *ev = finishEvents.acquire(*this);
         ev->cb = std::move(cb);
         eventq.schedule(ev, done);
     }
@@ -77,12 +69,12 @@ Dram::FinishEvent::process()
     Tick t = when();
     RespCallback done_cb = std::move(cb);
     cb = nullptr;
-    owner.finishEventFree.push_back(this);
+    owner.finishEvents.release(this);
     owner.finish(t, done_cb);
 }
 
 void
-Dram::finish(Tick now, RespCallback cb)
+Dram::finish(Tick now, const RespCallback &cb)
 {
     --outstanding;
     if (cb)

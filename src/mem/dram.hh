@@ -10,10 +10,9 @@
 #define TLSIM_MEM_DRAM_HH
 
 #include <cstdint>
-#include <deque>
-#include <vector>
 
 #include "mem/membackend.hh"
+#include "sim/pool.hh"
 
 namespace tlsim
 {
@@ -60,14 +59,12 @@ class Dram : public MemBackend
     };
 
     void startNext(Tick now);
-    void finish(Tick now, RespCallback cb);
+    void finish(Tick now, const RespCallback &cb);
 
     /**
-     * Pre-allocated intrusive completion event; one per outstanding
-     * slot, back in the pool before finish() frees that slot, so the
-     * pool never runs dry. Moving the RespCallback in and out
-     * transfers its buffer without allocating. Owned by the Dram,
-     * never the queue.
+     * Pooled intrusive completion event, at most one per outstanding
+     * slot. Moving the RespCallback in and out transfers its buffer
+     * without allocating. Owned by the Dram, never the queue.
      */
     class FinishEvent : public Event
     {
@@ -83,11 +80,10 @@ class Dram : public MemBackend
         Dram &owner;
     };
 
-    std::deque<FinishEvent> finishEvents;
-    std::vector<FinishEvent *> finishEventFree;
+    Pool<FinishEvent> finishEvents;
 
     int outstanding = 0;
-    std::deque<Pending> waiting;
+    Fifo<Pending> waiting;
 };
 
 } // namespace mem

@@ -42,10 +42,13 @@ L1Cache::L1Cache(const std::string &name, EventQueue &eq,
                       "cycles requests waited for a free MSHR")
 {
     mshrs.resize(static_cast<std::size_t>(std::max(num_mshrs, 0)));
-    for (int i = 0; i < num_mshrs; ++i) {
-        missEvents.emplace_back(*this);
-        missEventFree.push_back(&missEvents.back());
-    }
+    // Target lists trade places with fillScratch on every fill, so
+    // each needs room for the deepest coalescing it will meet. Room
+    // for a few up front keeps the steady-state miss path off the
+    // allocator; a deeper stack grows the list once.
+    for (Mshr &mshr : mshrs)
+        mshr.targets.reserve(mshrTargetReserve);
+    fillScratch.reserve(mshrTargetReserve);
 }
 
 void
@@ -117,9 +120,7 @@ L1Cache::startMiss(Addr block_addr, AccessType type, Tick now)
         type == AccessType::Store ? AccessType::Load : type;
     MemRequest l2_req{block_addr, l2_type, depart, requesterId,
                       idSource->next()};
-    TLSIM_ASSERT(!missEventFree.empty(), "L1 miss event pool empty");
-    MissEvent *ev = missEventFree.back();
-    missEventFree.pop_back();
+    MissEvent *ev = missEvents.acquire(*this);
     ev->req = l2_req;
     eventq.schedule(ev, depart);
 }
@@ -141,7 +142,7 @@ L1Cache::MissEvent::process()
     // Free the slot before issuing: a synchronous L2 response can
     // admit a queued access that immediately needs an event.
     MemRequest r = req;
-    owner.missEventFree.push_back(this);
+    owner.missEvents.release(this);
     owner.issueMiss(r);
 }
 
@@ -194,7 +195,8 @@ L1Cache::handleFill(Addr block_addr, Tick now)
         // Undo the double-count: this access was already counted.
         accesses += -1.0;
         misses += -1.0;
-        access(waiting.blockAddr, waiting.type, now,
+        access(MemRequest{waiting.blockAddr, waiting.type, now,
+                          requesterId},
                std::move(waiting.cb));
     }
 }

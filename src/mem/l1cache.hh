@@ -8,7 +8,6 @@
 #define TLSIM_MEM_L1CACHE_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "mem/l2cache.hh"
@@ -16,6 +15,7 @@
 #include "mem/setassoc.hh"
 #include "sim/eventq.hh"
 #include "sim/fault/watchdog.hh"
+#include "sim/pool.hh"
 #include "sim/stats.hh"
 
 namespace tlsim
@@ -99,14 +99,6 @@ class L1Cache : public stats::StatGroup
      * allocate one, or queue for a free one.
      */
     void accessMiss(const MemRequest &req, RespCallback cb);
-
-    /** Compatibility overload wrapping the loose argument list. */
-    void
-    access(Addr block_addr, AccessType type, Tick now, RespCallback cb)
-    {
-        access(MemRequest{block_addr, type, now, requesterId},
-               std::move(cb));
-    }
 
     /**
      * Timing-free access for functional warmup: updates the tag
@@ -227,11 +219,10 @@ class L1Cache : public stats::StatGroup
     void issueMiss(const MemRequest &l2_req);
 
     /**
-     * Pre-allocated intrusive event carrying one L2-bound miss from
-     * the tag check to its departure tick. One per MSHR: a miss only
-     * schedules while its MSHR is held, and the event is back in the
-     * pool before that MSHR can be released, so the pool never runs
-     * dry. Owned by the cache, never by the queue.
+     * Pooled intrusive event carrying one L2-bound miss from the tag
+     * check to its departure tick; at most one per MSHR, since a miss
+     * only schedules while its MSHR is held. Owned by the cache,
+     * never by the queue.
      */
     class MissEvent : public Event
     {
@@ -247,19 +238,20 @@ class L1Cache : public stats::StatGroup
         L1Cache &owner;
     };
 
-    std::deque<MissEvent> missEvents;
-    std::vector<MissEvent *> missEventFree;
+    Pool<MissEvent> missEvents;
 
     std::uint64_t useCounter = 0;
     /** The MSHR file: numMshrs entries, searched linearly. */
     std::vector<Mshr> mshrs;
     int mshrsInUse = 0;
+    /** Coalesced targets each MSHR has room for from the start. */
+    static constexpr std::size_t mshrTargetReserve = 8;
     /**
      * Empty vector (with capacity) swapped into a filling entry, so
      * the fill can fire its targets after the entry is free again.
      */
     std::vector<RespCallback> fillScratch;
-    std::deque<WaitingAccess> waitQueue;
+    Fifo<WaitingAccess> waitQueue;
     fault::Watchdog *watchdog = nullptr;
     int watchdogClient = -1;
 };

@@ -102,20 +102,6 @@ class L2Cache : public stats::StatGroup
      */
     virtual void access(const MemRequest &req, RespCallback cb) = 0;
 
-    /**
-     * Compatibility overload for callers predating MemRequest
-     * plumbing (tests, examples): wraps the arguments and mints a
-     * trace id locally for demand requests.
-     */
-    void
-    access(Addr block_addr, AccessType type, Tick now, RespCallback cb)
-    {
-        MemRequest req{block_addr, type, now};
-        if (!isWrite(type))
-            req.id = compatIds.next();
-        access(req, std::move(cb));
-    }
-
     /** Total number of links in the design's network (for Fig 7). */
     virtual int linkCount() const = 0;
 
@@ -229,8 +215,6 @@ class L2Cache : public stats::StatGroup
 
   private:
     trace::LatencyBreakdown lastBreakdownValue;
-    /** Id source backing the compatibility overload only. */
-    RequestIdSource compatIds;
 };
 
 } // namespace mem

@@ -1,8 +1,5 @@
 #include "noc/mesh.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "phys/geometry.hh"
 #include "sim/logging.hh"
 #include "sim/trace/debug.hh"
@@ -21,13 +18,20 @@ Mesh::Mesh(EventQueue &eq, const phys::Technology &tech,
                  "mesh needs a positive grid");
 
     // Link layout (all unidirectional):
-    //   [0] controller -> mesh injection
-    //   [1] mesh -> controller ejection
+    //   [0] controller -> mesh injection port
+    //   [1] mesh -> controller ejection port
     //   vertical up/down per column between adjacent rows
     //   horizontal east/west along row 0 between adjacent columns
+    // The two ports are never reserved: the controller spans the
+    // cache edge, so injection costs energy but does not serialize.
+    // They stay in the layout because linkCount() counts them (it is
+    // the denominator of link utilization, Fig 7) and because every
+    // other link's index, which fault schedules and heatmap cells
+    // name, is offset past them.
     int vertical = config.cols * (config.rows - 1);
     int horizontal = config.cols - 1;
     links.resize(2 + 2 * vertical + 2 * horizontal);
+    arrivalScratch.resize(static_cast<std::size_t>(config.rows));
 
     // Energy of one flit crossing one hop: link wires + switch.
     phys::RcWireModel wire(tech, phys::conventionalGlobalWire());
@@ -35,15 +39,6 @@ Mesh::Mesh(EventQueue &eq, const phys::Technology &tech,
     flitHopEnergyJ = config.flitBits * tech.activityFactor *
                          wire.energyPerTransition(config.hopLength) +
                      sw.energyPerFlit();
-}
-
-double
-Mesh::hopsTo(Coord bank) const
-{
-    double horiz = std::abs(bank.col - controllerCol()) - 0.5;
-    if (horiz < 0.0)
-        horiz = 0.0;
-    return bank.row + horiz;
 }
 
 Tick
@@ -92,28 +87,14 @@ Mesh::deliverAt(Tick tail, DeliverCallback cb)
     eventq.scheduleCallback(tail, std::move(cb));
 }
 
-namespace
-{
-
-/** Column of the bottom-row switch the controller attaches to. */
-int
-injectColumnFor(int dst_col, double controller_col)
-{
-    return dst_col <= controller_col
-               ? static_cast<int>(std::floor(controller_col))
-               : static_cast<int>(std::ceil(controller_col));
-}
-
-} // namespace
-
 void
 Mesh::sendToBank(Coord dst, int flits, Tick now, DeliverCallback cb)
 {
     // The controller spans the cache edge, so its boundary is wide:
     // injection costs energy but does not serialize (contention is
     // modelled in the row-0 and column links).
-    int inject_col = injectColumnFor(dst.col, controllerCol());
-    Tick tail = routeMessage(Coord{0, inject_col}, dst, flits, now);
+    Tick tail = routeMessage(Coord{0, portColumn(dst.col)}, dst, flits,
+                             now);
     energy += static_cast<double>(flits) * flitHopEnergyJ * 0.5;
     TLSIM_DPRINTF(NoC, "t={} mesh send {} flits to ({},{}) tail {}",
                   now, flits, dst.row, dst.col, tail);
@@ -129,8 +110,14 @@ void
 Mesh::sendToController(Coord src, int flits, Tick now,
                        DeliverCallback cb)
 {
-    int eject_col = injectColumnFor(src.col, controllerCol());
-    Tick tail = routeMessage(src, Coord{0, eject_col}, flits, now);
+    deliverAt(routeToController(src, flits, now), std::move(cb));
+}
+
+Tick
+Mesh::routeToController(Coord src, int flits, Tick now)
+{
+    Tick tail =
+        routeMessage(src, Coord{0, portColumn(src.col)}, flits, now);
     energy += static_cast<double>(flits) * flitHopEnergyJ * 0.5;
     TLSIM_DPRINTF(NoC, "t={} mesh recv {} flits from ({},{}) tail {}",
                   now, flits, src.row, src.col, tail);
@@ -139,17 +126,17 @@ Mesh::sendToController(Coord src, int flits, Tick now,
                    csprintf("from ({},{})", src.row, src.col), now,
                    tail, trace::tid::nocUpBase);
     }
-    deliverAt(tail, std::move(cb));
+    return tail;
 }
 
 void
-Mesh::multicastToColumn(int col, const std::vector<int> &rows,
-                        int flits, Tick now, MulticastCallback cb)
+Mesh::multicastToColumn(int col, RowSet rows, int flits, Tick now,
+                        MulticastCallback cb)
 {
     TLSIM_ASSERT(!rows.empty(), "multicast needs at least one row");
-    int far_row = *std::max_element(rows.begin(), rows.end());
+    int far_row = rows.last();
 
-    int inject_col = injectColumnFor(col, controllerCol());
+    int inject_col = portColumn(col);
     Tick head = now;
     energy += static_cast<double>(flits) * flitHopEnergyJ * 0.5;
 
@@ -160,7 +147,6 @@ Mesh::multicastToColumn(int col, const std::vector<int> &rows,
         head = traverseLink(li, flits, head);
         ++hops;
     });
-    arrivalScratch.resize(static_cast<std::size_t>(far_row) + 1);
     arrivalScratch[0] = head;
     std::size_t row_reached = 0;
     forEachHop(Coord{0, col}, Coord{far_row, col}, [&](int li) {
@@ -179,29 +165,17 @@ Mesh::multicastToColumn(int col, const std::vector<int> &rows,
     }
 
     // One pooled event per row, all sharing one copy of the callback.
-    MulticastGroup *group;
-    if (groupFree.empty()) {
-        group = &groups.emplace_back();
-    } else {
-        group = groupFree.back();
-        groupFree.pop_back();
-    }
+    MulticastGroup *group = groups.acquire();
     group->cb = std::move(cb);
-    group->pendingRows = static_cast<int>(rows.size());
-    for (int row : rows) {
+    group->pendingRows = rows.size();
+    rows.forEach([&](int row) {
         Tick tail = arrivalScratch[static_cast<std::size_t>(row)] +
                     static_cast<Tick>(flits - 1);
-        RowDeliveryEvent *ev;
-        if (rowEventFree.empty()) {
-            ev = &rowEvents.emplace_back(*this);
-        } else {
-            ev = rowEventFree.back();
-            rowEventFree.pop_back();
-        }
+        RowDeliveryEvent *ev = rowEvents.acquire(*this);
         ev->group = group;
         ev->row = row;
         eventq.schedule(ev, tail);
-    }
+    });
 }
 
 void
@@ -211,11 +185,11 @@ Mesh::RowDeliveryEvent::process()
     MulticastGroup *g = group;
     int r = row;
     Tick tail = when();
-    owner.rowEventFree.push_back(this);
+    owner.rowEvents.release(this);
     g->cb(r, tail);
     if (--g->pendingRows == 0) {
         g->cb = nullptr;
-        owner.groupFree.push_back(g);
+        owner.groups.release(g);
     }
 }
 

@@ -13,18 +13,20 @@
 #ifndef TLSIM_NOC_MESH_HH
 #define TLSIM_NOC_MESH_HH
 
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
-#include <deque>
+#include <cstdlib>
 #include <functional>
 #include <vector>
 
 #include "noc/link.hh"
+#include "noc/rowset.hh"
 #include "phys/rcwire.hh"
 #include "sim/fault/injector.hh"
 #include "phys/switchmodel.hh"
 #include "phys/technology.hh"
 #include "sim/eventq.hh"
+#include "sim/pool.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -76,6 +78,16 @@ class Mesh
     using DeliverCallback = std::function<void(Tick)>;
 
     /**
+     * Route a bank's message to the controller without a delivery
+     * event: links are reserved, energy is counted and the span is
+     * traced exactly as by sendToController, but nothing is
+     * scheduled. For notices nobody waits for (DNUCA's miss notices
+     * and false-positive replies).
+     * @return Tick at which the tail flit reaches the controller.
+     */
+    Tick routeToController(Coord src, int flits, Tick now);
+
+    /**
      * Send a message from the controller to a bank.
      * @param dst Destination bank coordinate.
      * @param flits Message length in flits.
@@ -104,8 +116,8 @@ class Mesh
      * at each requested bank as it passes. @p cb fires once per
      * requested row, at that row's tail-arrival tick.
      */
-    void multicastToColumn(int col, const std::vector<int> &rows,
-                           int flits, Tick now, MulticastCallback cb);
+    void multicastToColumn(int col, RowSet rows, int flits, Tick now,
+                           MulticastCallback cb);
 
     /**
      * Walk the XY route between two switches, calling @p f with each
@@ -131,14 +143,19 @@ class Mesh
      * One-way hop count between the controller port and a bank
      * (fractional hops model the injection half-link).
      */
-    double hopsTo(Coord bank) const;
+    double hopsTo(Coord bank) const { return halfHopsTo(bank) / 2.0; }
 
-    /** Uncontended one-way latency to a bank, in cycles. */
+    /**
+     * Uncontended one-way latency to a bank, in cycles: the hop count
+     * times hopLatency, rounded half up. The hop count is half-integer
+     * (the injection half-link), so this is exact integer arithmetic.
+     */
     Cycles
     uncontendedLatency(Coord bank) const
     {
-        return static_cast<Cycles>(
-            std::llround(hopsTo(bank) * config.hopLatency));
+        Cycles twice =
+            static_cast<Cycles>(halfHopsTo(bank)) * config.hopLatency;
+        return (twice + 1) / 2;
     }
 
     /** Total unidirectional links in the mesh. */
@@ -177,6 +194,30 @@ class Mesh
                          metrics::Heatmap *wait_hm);
 
   private:
+    /**
+     * Twice the one-way hop count between the controller port and a
+     * bank: the bank's row, plus its column distance from the port
+     * (which sits between the two middle columns) less the half-link
+     * the injection covers.
+     */
+    int
+    halfHopsTo(Coord bank) const
+    {
+        int twice_col = std::abs(2 * bank.col - (config.cols - 1));
+        return 2 * bank.row + std::max(twice_col - 1, 0);
+    }
+
+    /**
+     * Column of the bottom-row switch the controller attaches to for
+     * traffic to or from @p col: the nearer of the two middle ones.
+     */
+    int
+    portColumn(int col) const
+    {
+        return 2 * col <= config.cols - 1 ? (config.cols - 1) / 2
+                                          : config.cols / 2;
+    }
+
     /** Vertical links, per direction. */
     int verticalCount() const { return config.cols * (config.rows - 1); }
 
@@ -221,19 +262,12 @@ class Mesh
      */
     Tick traverseLink(int li, int flits, Tick head);
 
-    /** Controller attach point: between the two middle columns. */
-    double controllerCol() const { return (config.cols - 1) / 2.0; }
-
     /** Number of horizontal links per direction. */
     int horizontalCount() const { return config.cols - 1; }
 
     EventQueue &eventq;
     MeshConfig config;
     std::vector<Link> links;
-    // Injection/ejection links between the controller and the two
-    // middle bottom-row switches.
-    Link injectLink;
-    Link ejectLink;
     double energy = 0.0;
     double flitHopEnergyJ = 0.0;
     fault::Injector *injector = nullptr;
@@ -267,10 +301,8 @@ class Mesh
         Mesh &owner;
     };
 
-    std::deque<RowDeliveryEvent> rowEvents;
-    std::vector<RowDeliveryEvent *> rowEventFree;
-    std::deque<MulticastGroup> groups;
-    std::vector<MulticastGroup *> groupFree;
+    Pool<RowDeliveryEvent> rowEvents;
+    Pool<MulticastGroup> groups;
     /** Head arrival per row of the multicast being routed. */
     std::vector<Tick> arrivalScratch;
 };

@@ -34,29 +34,28 @@ BankSetArray::lookup(Addr block_addr) const
     return std::nullopt;
 }
 
-std::vector<std::uint32_t>
-BankSetArray::partialTagCandidates(Addr block_addr,
-                                   std::uint32_t exclude_banks) const
+SetProbe
+BankSetArray::probe(Addr block_addr, std::uint32_t close_banks) const
 {
     std::uint32_t bank_set = bankSetOf(block_addr);
     std::uint32_t set = setIndexOf(block_addr);
+    Addr tag = tagOf(block_addr);
     std::uint32_t ptag = partialTagOf(block_addr);
     std::uint32_t mask = (1u << cfg.partialTagBits) - 1;
 
-    std::vector<std::uint32_t> candidates;
-    for (std::uint32_t bank = exclude_banks; bank < cfg.banksPerSet;
-         ++bank) {
+    SetProbe found;
+    for (std::uint32_t bank = 0; bank < cfg.banksPerSet; ++bank) {
         for (std::uint32_t way = 0; way < cfg.waysPerBank; ++way) {
             const auto &line =
                 frames[frameIndex(bank_set, set, bank, way)];
-            if (line.valid() &&
-                static_cast<std::uint32_t>(line.tag() & mask) == ptag) {
-                candidates.push_back(bank);
-                break;
-            }
+            if (!found.holder && line.holds(tag))
+                found.holder = BankLocation{bank_set, set, bank, way};
+            if (bank >= close_banks && line.valid() &&
+                static_cast<std::uint32_t>(line.tag() & mask) == ptag)
+                found.candidates.add(static_cast<int>(bank));
         }
     }
-    return candidates;
+    return found;
 }
 
 void

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "mem/setassoc.hh"
+#include "noc/rowset.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -37,6 +38,19 @@ struct BankLocation
     std::uint32_t setIndex; // set within the bank set
     std::uint32_t bank; // bank within the set (mesh row; 0 = closest)
     std::uint32_t way; // way within the bank
+};
+
+/** What one pass over a block's set finds (BankSetArray::probe). */
+struct SetProbe
+{
+    /** Where the block lives, if resident. */
+    std::optional<BankLocation> holder;
+    /**
+     * Banks beyond the close ones whose partial tags match: the
+     * controller's smart-search candidates, the holder included when
+     * it lies beyond them.
+     */
+    noc::RowSet candidates;
 };
 
 /** Geometry of the bank-set structure. */
@@ -102,14 +116,11 @@ class BankSetArray
     std::optional<BankLocation> lookup(Addr block_addr) const;
 
     /**
-     * Banks (beyond the closest @p exclude_banks) whose partial tags
-     * match the address in its set — the controller's smart-search
-     * candidate list. Includes the true holder when resident and any
-     * false positives.
+     * One pass over the block's set: find the holder (as lookup
+     * does) and the banks beyond the closest @p close_banks whose
+     * partial tags match (true holder and false positives alike).
      */
-    std::vector<std::uint32_t>
-    partialTagCandidates(Addr block_addr,
-                         std::uint32_t exclude_banks) const;
+    SetProbe probe(Addr block_addr, std::uint32_t close_banks) const;
 
     /** Update LRU/dirty on a hit. */
     void touch(const BankLocation &loc, std::uint64_t use_counter,

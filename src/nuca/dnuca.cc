@@ -143,9 +143,12 @@ DnucaCache::access(const mem::MemRequest &l2_req, mem::RespCallback cb)
     }
 
     ++demandRequests;
-    auto loc = array.lookup(block_addr);
     std::uint32_t column = array.bankSetOf(block_addr);
-    std::uint64_t req = l2_req.id;
+    std::uint32_t probed = std::min(cfg.closeBanks,
+                                    cfg.bankSets.banksPerSet);
+    // The holder and the partial-tag candidates, in one pass.
+    SetProbe found = array.probe(block_addr, probed);
+    const std::optional<BankLocation> &loc = found.holder;
     TLSIM_DPRINTF(L2, "t={} dnuca load block {} column {}", now,
                   block_addr, column);
 
@@ -154,56 +157,46 @@ DnucaCache::access(const mem::MemRequest &l2_req, mem::RespCallback cb)
     // address message riding up the column, dropping a copy at each
     // of the closest banks.
     Tick close_resolved = now + cfg.partialTagLatency;
-    std::uint32_t probed = std::min(cfg.closeBanks,
-                                    cfg.bankSets.banksPerSet);
     bool close_hit = loc && loc->bank < probed;
 
+    noc::RowSet probe_rows;
     for (std::uint32_t row = 0; row < probed; ++row) {
         Tick resp = now + uncontendedLatency(row, column);
         if (!(loc && loc->bank == row))
             close_resolved = std::max(close_resolved, resp);
+        probe_rows.add(static_cast<int>(row));
     }
 
-    std::vector<int> probe_rows;
-    for (std::uint32_t row = 0; row < probed; ++row)
-        probe_rows.push_back(static_cast<int>(row));
-
+    Txn *t = newTxn(block_addr, column, loc, now, l2_req.id,
+                    std::move(cb));
     if (close_hit) {
         ++hits;
         ++closeHits;
         banksAccessed.sample(static_cast<double>(probed));
-        auto shared_cb =
-            std::make_shared<mem::RespCallback>(std::move(cb));
+        t->refs += probe_rows.size();
         mesh.multicastToColumn(
             static_cast<int>(column), probe_rows, addrFlits, now,
-            [this, loc = *loc, column, now, req, shared_cb](
-                int row, Tick arrival) {
-                Tick start = bankPort(static_cast<std::uint32_t>(row),
-                                      column)
-                                 .reserve(arrival, bankCycles);
-                if (loc.bank == static_cast<std::uint32_t>(row)) {
-                    deliverHit(loc, start + bankCycles, now, true, req,
-                               std::move(*shared_cb));
-                }
+            [this, t](int row_i, Tick arrival) {
+                auto row = static_cast<std::uint32_t>(row_i);
+                Tick start =
+                    bankPort(row, t->column).reserve(arrival, bankCycles);
+                if (t->loc->bank == row)
+                    deliverHit(t, start + bankCycles);
+                unref(t);
             });
         return;
     }
 
     // Close miss: the probed banks answer with short miss notices.
-    mesh.multicastToColumn(
-        static_cast<int>(column), probe_rows, addrFlits, now,
-        [this, column](int row, Tick arrival) {
-            Tick start =
-                bankPort(static_cast<std::uint32_t>(row), column)
-                    .reserve(arrival, bankCycles);
-            mesh.sendToController(
-                coordOf(static_cast<std::uint32_t>(row), column),
-                addrFlits, start + bankCycles, [](Tick) {});
-        });
+    mesh.multicastToColumn(static_cast<int>(column), probe_rows,
+                           addrFlits, now,
+                           [this, column](int row, Tick arrival) {
+                               missNotice(static_cast<std::uint32_t>(row),
+                                          column, arrival);
+                           });
 
     // Consult the partial tags.
-    auto candidates = array.partialTagCandidates(block_addr, probed);
-    if (candidates.empty()) {
+    if (found.candidates.empty()) {
         // Fast miss: no other bank can hold the block.
         TLSIM_ASSERT(!loc, "holder not found by partial tags");
         ++fastMisses;
@@ -212,20 +205,49 @@ DnucaCache::access(const mem::MemRequest &l2_req, mem::RespCallback cb)
         lookupLatency.sample(static_cast<double>(latency));
         if (latency == uncontendedLatency(0, column))
             ++predictableLookups;
-        handleMiss(block_addr, now, close_resolved, req,
-                   std::move(cb));
+        handleMiss(t, close_resolved);
         return;
     }
 
     banksAccessed.sample(static_cast<double>(probed) +
-                         static_cast<double>(candidates.size()));
+                         static_cast<double>(found.candidates.size()));
     // The centralized partial tags name the candidate banks at
     // now + partialTagLatency; the search multicast launches then,
     // without waiting for the close banks' miss notices. A miss is
     // still only *declared* once the close banks have answered.
-    searchCandidates(block_addr, candidates, loc,
-                     now + cfg.partialTagLatency, close_resolved, now,
-                     req, std::move(cb));
+    searchCandidates(t, found.candidates, now + cfg.partialTagLatency,
+                     close_resolved);
+}
+
+DnucaCache::Txn *
+DnucaCache::newTxn(Addr block_addr, std::uint32_t column,
+                   const std::optional<BankLocation> &loc, Tick issue,
+                   std::uint64_t req, mem::RespCallback cb)
+{
+    Txn *t = txns.acquire();
+    t->blockAddr = block_addr;
+    t->column = column;
+    t->loc = loc;
+    t->issue = issue;
+    t->req = req;
+    t->refs = 1;
+    t->cb = std::move(cb);
+    return t;
+}
+
+void
+DnucaCache::unref(Txn *t)
+{
+    if (--t->refs == 0)
+        txns.release(t);
+}
+
+void
+DnucaCache::respond(Txn *t, Tick tick)
+{
+    mem::RespCallback cb = std::move(t->cb);
+    unref(t);
+    cb(tick);
 }
 
 void
@@ -359,43 +381,54 @@ DnucaCache::onChipBreakdown(std::uint32_t bank_row,
 }
 
 void
-DnucaCache::deliverHit(const BankLocation &loc, Tick bank_done,
-                       Tick issue, bool promote_ok, std::uint64_t req,
-                       mem::RespCallback cb)
+DnucaCache::deliverHit(Txn *t, Tick bank_done)
 {
+    const BankLocation loc = *t->loc;
     ++useCounter;
     array.touch(loc, useCounter, false);
 
-    int flits = dataFlits(cfg.flitBits);
     std::uint32_t row = loc.bank, col = loc.bankSet;
     if (auto *sink = trace::TraceSink::active()) {
         sink->span(trace::cat::bank,
                    csprintf("bank({},{})", row, col),
                    bank_done - bankCycles, bank_done,
-                   trace::tid::bankBase + static_cast<int>(row), req);
+                   trace::tid::bankBase + static_cast<int>(row), t->req);
     }
-    mesh.sendToController(
-        coordOf(row, col), flits, bank_done,
-        [this, row, col, issue, flits, req,
-         cb = std::move(cb)](Tick tail) {
-            Tick first_word = tail - (flits - 1);
-            Tick latency = first_word - issue;
-            lookupLatency.sample(static_cast<double>(latency));
-            // Schedulers predict the closest-bank hit latency.
-            if (latency == uncontendedLatency(0, col))
-                ++predictableLookups;
-            TLSIM_DPRINTF(L2, "t={} dnuca hit bank ({},{}) latency {}",
-                          issue, row, col, latency);
-            recordBreakdown(onChipBreakdown(row, col, latency));
-            if (auto *sink = trace::TraceSink::active()) {
-                sink->span(trace::cat::l2, "hit", issue, first_word,
-                           trace::tid::l2, req);
-            }
-            cb(first_word);
-        });
+    mesh.sendToController(coordOf(row, col), dataFlits(cfg.flitBits),
+                          bank_done,
+                          [this, t](Tick tail) { receiveHit(t, tail); });
 
-    if (promote_ok && cfg.promoteOnHit && loc.bank > 0)
+    if (cfg.promoteOnHit && loc.bank > 0)
         doPromotion(loc, bank_done);
+}
+
+void
+DnucaCache::receiveHit(Txn *t, Tick tail)
+{
+    std::uint32_t row = t->loc->bank, col = t->loc->bankSet;
+    Tick first_word = tail - (dataFlits(cfg.flitBits) - 1);
+    Tick latency = first_word - t->issue;
+    lookupLatency.sample(static_cast<double>(latency));
+    // Schedulers predict the closest-bank hit latency.
+    if (latency == uncontendedLatency(0, col))
+        ++predictableLookups;
+    TLSIM_DPRINTF(L2, "t={} dnuca hit bank ({},{}) latency {}",
+                  t->issue, row, col, latency);
+    recordBreakdown(onChipBreakdown(row, col, latency));
+    if (auto *sink = trace::TraceSink::active()) {
+        sink->span(trace::cat::l2, "hit", t->issue, first_word,
+                   trace::tid::l2, t->req);
+    }
+    respond(t, first_word);
+}
+
+void
+DnucaCache::missNotice(std::uint32_t row, std::uint32_t column,
+                       Tick arrival)
+{
+    Tick start = bankPort(row, column).reserve(arrival, bankCycles);
+    mesh.routeToController(coordOf(row, column), addrFlits,
+                           start + bankCycles);
 }
 
 void
@@ -419,99 +452,94 @@ DnucaCache::doPromotion(const BankLocation &loc, Tick now)
     noc::Coord from = coordOf(loc.bank, col);
     noc::Coord to = coordOf(dst.bank, col);
     mesh.sendBankToBank(from, to, flits, now,
-                        [this, dst, col](Tick arrival) {
-                            bankPort(dst.bank, col).reserve(arrival,
-                                                            bankCycles);
+                        [this, row = dst.bank, col](Tick arrival) {
+                            bankPort(row, col).reserve(arrival,
+                                                       bankCycles);
                         });
     mesh.sendBankToBank(to, from, flits, now,
-                        [this, loc, col](Tick arrival) {
-                            bankPort(loc.bank, col).reserve(arrival,
-                                                            bankCycles);
+                        [this, row = loc.bank, col](Tick arrival) {
+                            bankPort(row, col).reserve(arrival,
+                                                       bankCycles);
                         });
 }
 
 void
-DnucaCache::searchCandidates(
-    Addr block_addr, const std::vector<std::uint32_t> &candidates,
-    std::optional<BankLocation> loc, Tick start, Tick close_resolved,
-    Tick issue, std::uint64_t req, mem::RespCallback cb)
+DnucaCache::searchCandidates(Txn *t, noc::RowSet candidates, Tick start,
+                             Tick close_resolved)
 {
     searches += static_cast<double>(candidates.size());
-    std::uint32_t column = array.bankSetOf(block_addr);
+    const std::uint32_t column = t->column;
 
     // One multicast search message rides the column to the farthest
     // candidate, dropping a copy at each candidate bank in passing.
     // The holder (if resident) returns data; false positives return
     // short miss notifications.
-    bool found_holder = loc.has_value();
-    if (found_holder)
+    const std::optional<BankLocation> loc = t->loc;
+    if (loc) {
         ++hits;
-
-    std::vector<int> search_rows;
-    for (std::uint32_t row : candidates)
-        search_rows.push_back(static_cast<int>(row));
-
-    auto shared_cb = std::make_shared<mem::RespCallback>();
-    if (found_holder)
-        *shared_cb = std::move(cb);
-    mesh.multicastToColumn(
-        static_cast<int>(column), search_rows, addrFlits, start,
-        [this, loc, column, issue, req, shared_cb](int row_i,
-                                                   Tick arrival) {
-            std::uint32_t row = static_cast<std::uint32_t>(row_i);
-            Tick bank_start =
-                bankPort(row, column).reserve(arrival, bankCycles);
-            if (loc && loc->bank == row) {
-                deliverHit(*loc, bank_start + bankCycles, issue, true,
-                           req, std::move(*shared_cb));
-            } else {
-                // False positive: short miss notification.
-                mesh.sendToController(coordOf(row, column), addrFlits,
-                                      bank_start + bankCycles,
-                                      [](Tick) {});
-            }
-        });
-
-    Tick last_response = close_resolved;
-    for (std::uint32_t row : candidates) {
-        if (!(loc && loc->bank == row)) {
-            last_response = std::max(
-                last_response, start + uncontendedLatency(row, column));
-        }
-    }
-    if (found_holder)
+        t->refs += candidates.size();
+        mesh.multicastToColumn(
+            static_cast<int>(column), candidates, addrFlits, start,
+            [this, t](int row_i, Tick arrival) {
+                auto row = static_cast<std::uint32_t>(row_i);
+                if (t->loc->bank == row) {
+                    Tick bank_start = bankPort(row, t->column)
+                                          .reserve(arrival, bankCycles);
+                    deliverHit(t, bank_start + bankCycles);
+                } else {
+                    missNotice(row, t->column, arrival);
+                }
+                unref(t);
+            });
         return;
+    }
+
+    mesh.multicastToColumn(static_cast<int>(column), candidates,
+                           addrFlits, start,
+                           [this, column](int row, Tick arrival) {
+                               missNotice(static_cast<std::uint32_t>(row),
+                                          column, arrival);
+                           });
 
     // All candidates were false partial-tag matches: slow miss.
-    Tick latency = last_response - issue;
+    Tick last_response = close_resolved;
+    candidates.forEach([&](int row) {
+        last_response = std::max(
+            last_response,
+            start + uncontendedLatency(static_cast<std::uint32_t>(row),
+                                       column));
+    });
+    Tick latency = last_response - t->issue;
     lookupLatency.sample(static_cast<double>(latency));
     if (latency == uncontendedLatency(0, column))
         ++predictableLookups;
-    handleMiss(block_addr, issue, last_response, req, std::move(cb));
+    handleMiss(t, last_response);
 }
 
 void
-DnucaCache::handleMiss(Addr block_addr, Tick issue, Tick miss_time,
-                       std::uint64_t req, mem::RespCallback cb)
+DnucaCache::handleMiss(Txn *t, Tick miss_time)
 {
     ++misses;
     TLSIM_DPRINTF(L2, "t={} dnuca miss block {}", miss_time,
-                  block_addr);
-    std::uint32_t column = array.bankSetOf(block_addr);
-    trace::LatencyBreakdown bd =
-        onChipBreakdown(0, column, miss_time - issue);
-    dram.read(block_addr, miss_time,
-              [this, block_addr, issue, miss_time, req, bd,
-               cb = std::move(cb)](Tick ready) mutable {
-                  bd.dram = static_cast<double>(ready - miss_time);
-                  recordBreakdown(bd);
-                  if (auto *sink = trace::TraceSink::active()) {
-                      sink->span(trace::cat::l2, "miss", issue, ready,
-                                 trace::tid::l2, req);
-                  }
-                  cb(ready);
-                  installAtTail(block_addr, ready, false);
-              });
+                  t->blockAddr);
+    t->bd = onChipBreakdown(0, t->column, miss_time - t->issue);
+    t->missTime = miss_time;
+    dram.read(t->blockAddr, miss_time,
+              [this, t](Tick ready) { receiveFill(t, ready); });
+}
+
+void
+DnucaCache::receiveFill(Txn *t, Tick ready)
+{
+    t->bd.dram = static_cast<double>(ready - t->missTime);
+    recordBreakdown(t->bd);
+    if (auto *sink = trace::TraceSink::active()) {
+        sink->span(trace::cat::l2, "miss", t->issue, ready,
+                   trace::tid::l2, t->req);
+    }
+    const Addr block_addr = t->blockAddr;
+    respond(t, ready);
+    installAtTail(block_addr, ready, false);
 }
 
 void

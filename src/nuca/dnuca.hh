@@ -25,6 +25,7 @@
 #include "noc/mesh.hh"
 #include "nuca/bankset.hh"
 #include "phys/technology.hh"
+#include "sim/pool.hh"
 
 namespace tlsim
 {
@@ -68,7 +69,6 @@ class DnucaCache : public mem::L2Cache
                const DnucaConfig &config = DnucaConfig{},
                fault::Injector *injector = nullptr);
 
-    using mem::L2Cache::access;
     void access(const mem::MemRequest &req,
                 mem::RespCallback cb) override;
 
@@ -115,6 +115,45 @@ class DnucaCache : public mem::L2Cache
     stats::Scalar searches;
 
   private:
+    /**
+     * One demand read in flight. The requester's callback is stored
+     * here once, from access() until delivery; each continuation on
+     * the way captures only `this` and the record, which fits
+     * std::function's local buffer.
+     */
+    struct Txn
+    {
+        Addr blockAddr = 0;
+        std::uint32_t column = 0;
+        /** Where the block lived at access time, if resident. */
+        std::optional<BankLocation> loc;
+        Tick issue = 0;
+        /** Trace-correlation id. */
+        std::uint64_t req = 0;
+        /** Tick the miss was determined. */
+        Tick missTime = 0;
+        trace::LatencyBreakdown bd;
+        /**
+         * Holders of the record: the response, plus each row of a
+         * multicast that reads it. Its last holder frees it.
+         */
+        int refs = 0;
+        mem::RespCallback cb;
+    };
+
+    Pool<Txn> txns;
+
+    /** A record for a demand read, held by its response alone. */
+    Txn *newTxn(Addr block_addr, std::uint32_t column,
+                const std::optional<BankLocation> &loc, Tick issue,
+                std::uint64_t req, mem::RespCallback cb);
+
+    /** Drop one holder of @p t; the last one frees it. */
+    void unref(Txn *t);
+
+    /** Hand @p t's callback its completion tick and drop its hold. */
+    void respond(Txn *t, Tick tick);
+
     noc::Coord
     coordOf(std::uint32_t bank_row, std::uint32_t column) const
     {
@@ -129,10 +168,19 @@ class DnucaCache : public mem::L2Cache
                              cfg.bankSets.numBankSets + column];
     }
 
-    /** Deliver a hit from a bank and maybe promote the block. */
-    void deliverHit(const BankLocation &loc, Tick bank_done, Tick issue,
-                    bool promote_ok, std::uint64_t req,
-                    mem::RespCallback cb);
+    /** Deliver a hit from t->loc's bank and maybe promote it. */
+    void deliverHit(Txn *t, Tick bank_done);
+
+    /** A hit's data tail reached the controller. */
+    void receiveHit(Txn *t, Tick tail);
+
+    /**
+     * A probe or search copy found no block at bank @p row: the bank
+     * is busy for one access, then a short miss notice rides back
+     * that nobody waits for (route-only, no delivery event).
+     */
+    void missNotice(std::uint32_t row, std::uint32_t column,
+                    Tick arrival);
 
     /**
      * Decompose an access's on-chip latency: wire and bank are the
@@ -153,15 +201,14 @@ class DnucaCache : public mem::L2Cache
      * declared once both the searches and the close banks
      * (@p close_resolved) have answered.
      */
-    void searchCandidates(Addr block_addr,
-                          const std::vector<std::uint32_t> &candidates,
-                          std::optional<BankLocation> loc, Tick start,
-                          Tick close_resolved, Tick issue,
-                          std::uint64_t req, mem::RespCallback cb);
+    void searchCandidates(Txn *t, noc::RowSet candidates, Tick start,
+                          Tick close_resolved);
 
     /** Miss path: DRAM fetch, tail insert, respond. */
-    void handleMiss(Addr block_addr, Tick issue, Tick miss_time,
-                    std::uint64_t req, mem::RespCallback cb);
+    void handleMiss(Txn *t, Tick miss_time);
+
+    /** Memory returned a miss's data at @p ready. */
+    void receiveFill(Txn *t, Tick ready);
 
     /** Insert a block at the tail bank, modelling the traffic. */
     void installAtTail(Addr block_addr, Tick now, bool dirty);

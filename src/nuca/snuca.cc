@@ -133,9 +133,9 @@ SnucaCache::access(const mem::MemRequest &l2_req, mem::RespCallback cb)
         banksAccessed.sample(1.0);
         int flits = dataFlits(cfg.flitBits);
         mesh.sendToBank(coordOf(bank), flits, now,
-                        [this, block_addr, bank](Tick arrival) {
-                            installBlock(block_addr, bank, arrival,
-                                         true);
+                        [this, block_addr](Tick arrival) {
+                            installBlock(block_addr, bankOf(block_addr),
+                                         arrival, true);
                         });
         cb(now);
         return;
@@ -143,15 +143,26 @@ SnucaCache::access(const mem::MemRequest &l2_req, mem::RespCallback cb)
 
     ++demandRequests;
     banksAccessed.sample(1.0);
-    std::uint64_t req = l2_req.id;
     TLSIM_DPRINTF(L2, "t={} snuca2 load block {} bank {}", now,
                   block_addr, bank);
+    Txn *t = txns.acquire();
+    t->blockAddr = block_addr;
+    t->bank = bank;
+    t->issue = now;
+    t->req = l2_req.id;
+    t->attempt = 0;
+    t->healthyFirst = 0;
+    t->cb = std::move(cb);
     mesh.sendToBank(coordOf(bank), addrFlits, now,
-                    [this, block_addr, bank, now, req,
-                     cb = std::move(cb)](Tick arrival) {
-                        handleRead(block_addr, bank, arrival, now, req,
-                                   cb);
-                    });
+                    [this, t](Tick arrival) { handleRead(t, arrival); });
+}
+
+void
+SnucaCache::respond(Txn *t, Tick tick)
+{
+    mem::RespCallback cb = std::move(t->cb);
+    txns.release(t);
+    cb(tick);
 }
 
 trace::LatencyBreakdown
@@ -207,10 +218,10 @@ SnucaCache::loadWarmState(std::istream &is)
 }
 
 void
-SnucaCache::handleRead(Addr block_addr, int bank, Tick arrival,
-                       Tick issue, std::uint64_t req,
-                       mem::RespCallback cb)
+SnucaCache::handleRead(Txn *t, Tick arrival)
 {
+    const Addr block_addr = t->blockAddr;
+    const int bank = t->bank;
     auto &array = arrays[static_cast<std::size_t>(bank)];
     Addr frame_addr = block_addr >> __builtin_ctz(cfg.banks);
     Tick start = bankPorts[static_cast<std::size_t>(bank)].reserve(
@@ -218,7 +229,7 @@ SnucaCache::handleRead(Addr block_addr, int bank, Tick arrival,
     Tick done = start + bankCycles;
     if (auto *sink = trace::TraceSink::active()) {
         sink->span(trace::cat::bank, csprintf("bank{}", bank), start,
-                   done, trace::tid::bankBase + bank, req);
+                   done, trace::tid::bankBase + bank, t->req);
     }
 
     auto way = array.lookup(frame_addr);
@@ -226,8 +237,7 @@ SnucaCache::handleRead(Addr block_addr, int bank, Tick arrival,
         ++hits;
         ++useCounter;
         array.touch(frame_addr, *way, useCounter, false);
-        sendHitResponse(block_addr, bank, done, issue, req, 0, 0,
-                        std::move(cb));
+        sendHitResponse(t, done);
         return;
     }
 
@@ -235,111 +245,103 @@ SnucaCache::handleRead(Addr block_addr, int bank, Tick arrival,
     // (Intentionally not CRC-retried: a corrupted "miss" notification
     // only delays the memory fetch the controller's timeout forces
     // anyway.)
-    mesh.sendToController(
-        coordOf(bank), addrFlits, done,
-        [this, block_addr, bank, issue, req,
-         cb = std::move(cb)](Tick tick) {
-            Tick latency = tick - issue;
-            lookupLatency.sample(static_cast<double>(latency));
-            if (latency == uncontendedLatency(bank))
-                ++predictableLookups;
-            handleMiss(block_addr, bank, tick, issue, req, cb);
-        });
+    mesh.sendToController(coordOf(bank), addrFlits, done,
+                          [this, t](Tick tick) {
+                              Tick latency = tick - t->issue;
+                              lookupLatency.sample(
+                                  static_cast<double>(latency));
+                              if (latency == uncontendedLatency(t->bank))
+                                  ++predictableLookups;
+                              handleMiss(t, tick);
+                          });
 }
 
 void
-SnucaCache::sendHitResponse(Addr block_addr, int bank, Tick done,
-                            Tick issue, std::uint64_t req, int attempt,
-                            Tick healthy_first, mem::RespCallback cb)
+SnucaCache::sendHitResponse(Txn *t, Tick done)
 {
-    int flits = dataFlits(cfg.flitBits);
-    mesh.sendToController(
-        coordOf(bank), flits, done,
-        [this, block_addr, bank, issue, req, attempt, healthy_first,
-         flits, cb = std::move(cb)](Tick tail) mutable {
-            Tick first_word = tail - (flits - 1);
-            if (healthy_first == 0)
-                healthy_first = first_word;
-            if (injector) {
-                first_word +=
-                    static_cast<Tick>(injector->config().crcCycles);
-                if (injector->messageError(bank)) {
-                    bool can_retry =
-                        attempt < injector->config().maxRetries &&
-                        first_word - issue <= static_cast<Tick>(
-                            injector->config().requestTimeout);
-                    if (can_retry) {
-                        ++linkRetries;
-                        Tick redo =
-                            first_word + injector->backoff(attempt);
-                        Tick start =
-                            bankPorts[static_cast<std::size_t>(bank)]
-                                .reserve(redo, bankCycles);
-                        sendHitResponse(block_addr, bank,
-                                        start + bankCycles, issue, req,
-                                        attempt + 1, healthy_first,
-                                        std::move(cb));
-                        return;
-                    }
-                    // Retry budget or timeout exhausted: count it and
-                    // deliver anyway (the end-to-end ECC recovers the
-                    // payload; only the timing penalty matters here).
-                    ++linkTimeouts;
-                }
-            }
-            Tick latency = first_word - issue;
-            lookupLatency.sample(static_cast<double>(latency));
-            if (latency == uncontendedLatency(bank))
-                ++predictableLookups;
-            trace::LatencyBreakdown bd =
-                onChipBreakdown(bank, latency);
-            // Move the CRC/retry surcharge out of the contention
-            // residual so the components still sum to the latency.
-            double fault_cycles =
-                static_cast<double>(first_word - healthy_first);
-            bd.queueWait -= fault_cycles;
-            bd.fault = fault_cycles;
-            recordBreakdown(bd);
-            if (auto *sink = trace::TraceSink::active()) {
-                sink->span(trace::cat::l2,
-                           csprintf("hit {}", block_addr), issue,
-                           first_word, trace::tid::l2, req);
-            }
-            cb(first_word);
-        });
+    mesh.sendToController(coordOf(t->bank), dataFlits(cfg.flitBits),
+                          done,
+                          [this, t](Tick tail) { receiveHit(t, tail); });
 }
 
 void
-SnucaCache::handleMiss(Addr block_addr, int bank, Tick miss_time,
-                       Tick issue, std::uint64_t req,
-                       mem::RespCallback cb)
+SnucaCache::receiveHit(Txn *t, Tick tail)
+{
+    const int bank = t->bank;
+    Tick first_word = tail - (dataFlits(cfg.flitBits) - 1);
+    if (t->healthyFirst == 0)
+        t->healthyFirst = first_word;
+    if (injector) {
+        first_word += static_cast<Tick>(injector->config().crcCycles);
+        if (injector->messageError(bank)) {
+            bool can_retry =
+                t->attempt < injector->config().maxRetries &&
+                first_word - t->issue <=
+                    static_cast<Tick>(injector->config().requestTimeout);
+            if (can_retry) {
+                ++linkRetries;
+                Tick redo = first_word + injector->backoff(t->attempt);
+                Tick start = bankPorts[static_cast<std::size_t>(bank)]
+                                 .reserve(redo, bankCycles);
+                ++t->attempt;
+                sendHitResponse(t, start + bankCycles);
+                return;
+            }
+            // Retry budget or timeout exhausted: count it and deliver
+            // anyway (the end-to-end ECC recovers the payload; only
+            // the timing penalty matters here).
+            ++linkTimeouts;
+        }
+    }
+    Tick latency = first_word - t->issue;
+    lookupLatency.sample(static_cast<double>(latency));
+    if (latency == uncontendedLatency(bank))
+        ++predictableLookups;
+    trace::LatencyBreakdown bd = onChipBreakdown(bank, latency);
+    // Move the CRC/retry surcharge out of the contention residual so
+    // the components still sum to the latency.
+    double fault_cycles = static_cast<double>(first_word - t->healthyFirst);
+    bd.queueWait -= fault_cycles;
+    bd.fault = fault_cycles;
+    recordBreakdown(bd);
+    if (auto *sink = trace::TraceSink::active()) {
+        sink->span(trace::cat::l2, csprintf("hit {}", t->blockAddr),
+                   t->issue, first_word, trace::tid::l2, t->req);
+    }
+    respond(t, first_word);
+}
+
+void
+SnucaCache::handleMiss(Txn *t, Tick miss_time)
 {
     ++misses;
     TLSIM_DPRINTF(L2, "t={} snuca2 miss block {}", miss_time,
-                  block_addr);
-    trace::LatencyBreakdown bd =
-        onChipBreakdown(bank, miss_time - issue);
-    dram.read(block_addr, miss_time,
-              [this, block_addr, bank, issue, miss_time, req, bd,
-               cb = std::move(cb)](Tick ready) mutable {
-                  bd.dram = static_cast<double>(ready - miss_time);
-                  recordBreakdown(bd);
-                  if (auto *sink = trace::TraceSink::active()) {
-                      sink->span(trace::cat::l2,
-                                 csprintf("miss {}", block_addr),
-                                 issue, ready, trace::tid::l2, req);
-                  }
-                  // Deliver to the requester and install in parallel.
-                  cb(ready);
-                  ++inserts;
-                  int flits = dataFlits(cfg.flitBits);
-                  mesh.sendToBank(coordOf(bank), flits, ready,
-                                  [this, block_addr, bank](
-                                      Tick arrival) {
-                                      installBlock(block_addr, bank,
-                                                   arrival, false);
-                                  });
-              });
+                  t->blockAddr);
+    t->bd = onChipBreakdown(t->bank, miss_time - t->issue);
+    t->missTime = miss_time;
+    dram.read(t->blockAddr, miss_time,
+              [this, t](Tick ready) { receiveFill(t, ready); });
+}
+
+void
+SnucaCache::receiveFill(Txn *t, Tick ready)
+{
+    t->bd.dram = static_cast<double>(ready - t->missTime);
+    recordBreakdown(t->bd);
+    if (auto *sink = trace::TraceSink::active()) {
+        sink->span(trace::cat::l2, csprintf("miss {}", t->blockAddr),
+                   t->issue, ready, trace::tid::l2, t->req);
+    }
+    // Deliver to the requester and install in parallel.
+    const Addr block_addr = t->blockAddr;
+    const int bank = t->bank;
+    respond(t, ready);
+    ++inserts;
+    mesh.sendToBank(coordOf(bank), dataFlits(cfg.flitBits), ready,
+                    [this, block_addr](Tick arrival) {
+                        installBlock(block_addr, bankOf(block_addr),
+                                     arrival, false);
+                    });
 }
 
 void

@@ -19,6 +19,7 @@
 #include "noc/link.hh"
 #include "noc/mesh.hh"
 #include "phys/technology.hh"
+#include "sim/pool.hh"
 
 namespace tlsim
 {
@@ -51,7 +52,6 @@ class SnucaCache : public mem::L2Cache
                const SnucaConfig &config = SnucaConfig{},
                fault::Injector *injector = nullptr);
 
-    using mem::L2Cache::access;
     void access(const mem::MemRequest &req,
                 mem::RespCallback cb) override;
 
@@ -84,26 +84,53 @@ class SnucaCache : public mem::L2Cache
     int bankOf(Addr block_addr) const;
     noc::Coord coordOf(int bank) const;
 
+    /**
+     * One demand read in flight. The requester's callback is stored
+     * here once, from access() until delivery; each continuation on
+     * the way captures only `this` and the record, which fits
+     * std::function's local buffer.
+     */
+    struct Txn
+    {
+        Addr blockAddr = 0;
+        int bank = 0;
+        Tick issue = 0;
+        /** Trace-correlation id. */
+        std::uint64_t req = 0;
+        /** CRC retries of the hit response so far. */
+        int attempt = 0;
+        /**
+         * Pre-CRC first-word tick of the first hit response (0 until
+         * it arrives), so the fault surcharge decomposes exactly.
+         */
+        Tick healthyFirst = 0;
+        /** Tick the miss was determined. */
+        Tick missTime = 0;
+        trace::LatencyBreakdown bd;
+        mem::RespCallback cb;
+    };
+
     /** Handle a demand read at the bank side. */
-    void handleRead(Addr block_addr, int bank, Tick arrival, Tick issue,
-                    std::uint64_t req, mem::RespCallback cb);
+    void handleRead(Txn *t, Tick arrival);
+
+    /** Ship a hit's data back to the controller from tick @p done. */
+    void sendHitResponse(Txn *t, Tick done);
 
     /**
-     * Ship a hit's data back to the controller. With fault injection
-     * the response is CRC-checked on arrival; a transient error NACKs
-     * it and the controller re-reads the bank after exponential
-     * backoff (recursing with attempt + 1). @p healthy_first is the
-     * pre-CRC delivery tick of the first attempt (0 = this is the
-     * first attempt) so the fault surcharge can be decomposed exactly.
+     * A hit response's tail reached the controller. With fault
+     * injection it is CRC-checked first; a transient error NACKs it
+     * and the controller re-reads the bank after exponential backoff.
      */
-    void sendHitResponse(Addr block_addr, int bank, Tick done,
-                         Tick issue, std::uint64_t req, int attempt,
-                         Tick healthy_first, mem::RespCallback cb);
+    void receiveHit(Txn *t, Tick tail);
 
     /** Miss path: fetch from memory, insert, respond. */
-    void handleMiss(Addr block_addr, int bank, Tick miss_time,
-                    Tick issue, std::uint64_t req,
-                    mem::RespCallback cb);
+    void handleMiss(Txn *t, Tick miss_time);
+
+    /** Memory returned a miss's data at @p ready. */
+    void receiveFill(Txn *t, Tick ready);
+
+    /** Hand @p t's callback its completion tick and free the record. */
+    void respond(Txn *t, Tick tick);
 
     /**
      * Decompose a demand access's on-chip latency: wire and bank are
@@ -123,6 +150,7 @@ class SnucaCache : public mem::L2Cache
     std::vector<mem::SetAssocArray> arrays;
     std::vector<noc::Link> bankPorts;
     fault::Injector *injector;
+    Pool<Txn> txns;
     std::uint64_t useCounter = 0;
     /** Extra round-trip cycles for controller injection/ejection. */
     Tick roundTripInjection = 0;

@@ -1,5 +1,7 @@
 #include "sim/fault/watchdog.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace tlsim
@@ -13,14 +15,20 @@ Watchdog::fire(Tick now, const char *why)
     ++fired;
     warn("deadlock watchdog fired at t={}: {} ({} outstanding)", now,
          why, pending.size());
-    for (const auto &[key, issued] : pending) {
-        const auto &[client, addr] = key;
+    std::vector<Outstanding> sorted = pending;
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Outstanding &a, const Outstanding &b) {
+                  return a.client != b.client ? a.client < b.client
+                                              : a.addr < b.addr;
+              });
+    for (const Outstanding &req : sorted) {
         const std::string &name =
-            client >= 0 && client < static_cast<int>(clients.size())
-                ? clients[client]
+            req.client >= 0 &&
+                    req.client < static_cast<int>(clients.size())
+                ? clients[req.client]
                 : "?";
         warn("  outstanding: {} addr={} issued at t={} (age {})", name,
-             addr, issued, now - issued);
+             req.addr, req.issued, now - req.issued);
     }
     if (diagnostic)
         diagnostic();

@@ -19,9 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -60,14 +58,19 @@ class Watchdog
     void
     onIssue(int client, std::uint64_t addr, Tick now)
     {
-        pending.emplace(std::make_pair(client, addr), now);
+        if (find(client, addr) == pending.end())
+            pending.push_back(Outstanding{client, addr, now});
     }
 
     /** The request for @p addr completed. */
     void
     onComplete(int client, std::uint64_t addr)
     {
-        pending.erase(std::make_pair(client, addr));
+        auto it = find(client, addr);
+        if (it == pending.end())
+            return;
+        *it = pending.back();
+        pending.pop_back();
     }
 
     /** Outstanding request count. */
@@ -106,10 +109,8 @@ class Watchdog
         if (wallArmed && (++wallPolls & 0x3ff) == 0 &&
             std::chrono::steady_clock::now() >= wallDeadline)
             fireWall(now);
-        if (pending.empty())
-            return;
-        for (const auto &[key, issued] : pending) {
-            if (now - issued > maxAge)
+        for (const Outstanding &req : pending) {
+            if (now - req.issued > maxAge)
                 fire(now, "request exceeded max age");
         }
     }
@@ -127,6 +128,24 @@ class Watchdog
     }
 
   private:
+    /** One outstanding request. */
+    struct Outstanding
+    {
+        int client;
+        std::uint64_t addr;
+        Tick issued;
+    };
+
+    std::vector<Outstanding>::iterator
+    find(int client, std::uint64_t addr)
+    {
+        auto it = pending.begin();
+        while (it != pending.end() &&
+               !(it->client == client && it->addr == addr))
+            ++it;
+        return it;
+    }
+
     [[noreturn]] void fire(Tick now, const char *why);
     [[noreturn]] void fireWall(Tick now);
 
@@ -137,8 +156,12 @@ class Watchdog
     std::uint64_t wallPolls = 0;
     std::vector<std::string> clients;
     std::function<void()> diagnostic;
-    /** (client, block address) -> issue tick; ordered for stable dumps. */
-    std::map<std::pair<int, std::uint64_t>, Tick> pending;
+    /**
+     * Outstanding requests, unordered: a flat list (at most the L1s'
+     * MSHRs) that allocates only to grow. fire() sorts a copy by
+     * (client, address) for a stable dump.
+     */
+    std::vector<Outstanding> pending;
     std::uint64_t fired = 0;
 };
 

@@ -97,6 +97,8 @@ TlcCache::TlcCache(EventQueue &eq, stats::StatGroup *parent,
         slice_bits + (cfg.banksPerBlock > 1 ? cfg.highTagBits : 0);
     respCycles = ceilDiv(resp_payload, cfg.upBits);
     dataDownCycles = ceilDiv(slice_bits, cfg.downBits);
+    members.resize(static_cast<std::size_t>(cfg.banksPerBlock));
+    writeArrivals.resize(static_cast<std::size_t>(cfg.banksPerBlock));
 
     std::uint32_t sets = static_cast<std::uint32_t>(
         cfg.capacity() /
@@ -177,13 +179,11 @@ TlcCache::latencyRange() const
     return {lo, hi};
 }
 
-std::vector<TlcCache::MemberTiming>
+void
 TlcCache::sendRequests(int group, Tick now, int req_cycles,
                        std::uint64_t req)
 {
     auto *sink = trace::TraceSink::active();
-    std::vector<MemberTiming> members(
-        static_cast<std::size_t>(cfg.banksPerBlock));
     for (int m = 0; m < cfg.banksPerBlock; ++m) {
         int bank = bankOf(group, m);
         int pair = pairOf(bank);
@@ -197,6 +197,7 @@ TlcCache::sendRequests(int group, Tick now, int req_cycles,
             bankPorts[static_cast<std::size_t>(bank)].reserve(
                 arrival, static_cast<Cycles>(bankCycles));
         MemberTiming &timing = members[static_cast<std::size_t>(m)];
+        timing = MemberTiming{};
         timing.done = bank_start + bankCycles;
         timing.parts.queueWait +=
             static_cast<double>((start - now) + (bank_start - arrival));
@@ -213,12 +214,10 @@ TlcCache::sendRequests(int group, Tick now, int req_cycles,
                        trace::tid::bankBase + bank, req);
         }
     }
-    return members;
 }
 
 Tick
-TlcCache::collectResponses(int group, std::vector<MemberTiming> &members,
-                           int resp_cycles, int payload_bits,
+TlcCache::collectResponses(int group, int resp_cycles, int payload_bits,
                            std::uint64_t req,
                            trace::LatencyBreakdown &critical)
 {
@@ -351,7 +350,7 @@ TlcCache::handleLoad(Addr block_addr, Tick now, std::uint64_t req,
                   "matches)", now, cfg.name, block_addr, group,
                   ptag_matches);
 
-    auto members = sendRequests(group, now, reqCycles, req);
+    sendRequests(group, now, reqCycles, req);
     const int slice_bits =
         mem::blockBytes * 8 / cfg.banksPerBlock +
         (cfg.banksPerBlock > 1 ? cfg.highTagBits : 0);
@@ -361,12 +360,12 @@ TlcCache::handleLoad(Addr block_addr, Tick now, std::uint64_t req,
     bool second_round = false;
     if (ptag_matches == 0) {
         // Every bank reports "no match" in a single beat.
-        resolved = collectResponses(group, members, 1, 8, req, bd);
+        resolved = collectResponses(group, 1, 8, req, bd);
     } else if (ptag_matches == 1 || cfg.banksPerBlock == 1) {
         // The common case: banks return the (single) matching way's
         // data slice plus its high tag bits.
-        resolved = collectResponses(group, members, respCycles,
-                                    slice_bits, req, bd);
+        resolved =
+            collectResponses(group, respCycles, slice_bits, req, bd);
         if (!way)
             ++falseMatches;
     } else {
@@ -374,7 +373,7 @@ TlcCache::handleLoad(Addr block_addr, Tick now, std::uint64_t req,
         // tag bits of all matching ways; if the block is resident the
         // controller issues a second request for the chosen way.
         ++multiMatches;
-        resolved = collectResponses(group, members, 1,
+        resolved = collectResponses(group, 1,
                                     ptag_matches * cfg.highTagBits,
                                     req, bd);
         if (way) {
@@ -546,11 +545,11 @@ Tick
 TlcCache::secondRoundTrip(int group, Tick start, std::uint64_t req,
                           trace::LatencyBreakdown &bd)
 {
-    auto members = sendRequests(group, start, reqCycles, req);
+    sendRequests(group, start, reqCycles, req);
     const int slice_bits = mem::blockBytes * 8 / cfg.banksPerBlock;
     trace::LatencyBreakdown round;
-    Tick resolved = collectResponses(group, members, respCycles,
-                                     slice_bits, req, round);
+    Tick resolved =
+        collectResponses(group, respCycles, slice_bits, req, round);
     bd += round;
     return resolved;
 }
@@ -565,8 +564,6 @@ TlcCache::handleWrite(Addr block_addr, Tick now, bool is_fill)
 
     // Push the slices down to the banks (no tag comparison needed:
     // the TLC designs are exclusive write-back caches).
-    std::vector<Tick> arrivals(
-        static_cast<std::size_t>(cfg.banksPerBlock));
     for (int m = 0; m < cfg.banksPerBlock; ++m) {
         int bank = bankOf(group, m);
         int pair = pairOf(bank);
@@ -587,7 +584,7 @@ TlcCache::handleWrite(Addr block_addr, Tick now, bool is_fill)
             one_way;
         bankPorts[static_cast<std::size_t>(bank)].reserve(
             arrival, static_cast<Cycles>(bankCycles));
-        arrivals[static_cast<std::size_t>(m)] = arrival;
+        writeArrivals[static_cast<std::size_t>(m)] = arrival;
         networkEnergy += (requestBits + slice_bits) * 0.5 *
                          lay.energyPerBit;
     }
@@ -611,7 +608,7 @@ TlcCache::handleWrite(Addr block_addr, Tick now, bool is_fill)
             int pair = pairOf(bank);
             auto pi = static_cast<std::size_t>(pair);
             const PairLayout &lay = floorplan.pair(pair);
-            Tick avail = arrivals[static_cast<std::size_t>(m)] +
+            Tick avail = writeArrivals[static_cast<std::size_t>(m)] +
                          static_cast<Tick>(bankCycles);
             bool dead = injector &&
                         injector->linkDead(upLinkId(pair), avail);
@@ -648,20 +645,32 @@ TlcCache::handleMiss(Addr block_addr, Tick issue, Tick miss_time,
     ++misses;
     TLSIM_DPRINTF(L2, "t={} {} miss block {}", miss_time, cfg.name,
                   block_addr);
+    Txn *t = txns.acquire();
+    t->blockAddr = block_addr;
+    t->issue = issue;
+    t->missTime = miss_time;
+    t->req = req;
+    t->bd = bd;
+    t->cb = std::move(cb);
     dram.read(block_addr, miss_time,
-              [this, block_addr, issue, miss_time, req, bd,
-               cb = std::move(cb)](Tick ready) mutable {
-                  bd.dram = static_cast<double>(ready - miss_time);
-                  recordBreakdown(bd);
-                  if (auto *sink = trace::TraceSink::active()) {
-                      sink->span(trace::cat::l2,
-                                 csprintf("{} miss {}", cfg.name,
-                                          block_addr),
-                                 issue, ready, trace::tid::l2, req);
-                  }
-                  cb(ready);
-                  handleWrite(block_addr, ready, true);
-              });
+              [this, t](Tick ready) { receiveFill(t, ready); });
+}
+
+void
+TlcCache::receiveFill(Txn *t, Tick ready)
+{
+    t->bd.dram = static_cast<double>(ready - t->missTime);
+    recordBreakdown(t->bd);
+    if (auto *sink = trace::TraceSink::active()) {
+        sink->span(trace::cat::l2,
+                   csprintf("{} miss {}", cfg.name, t->blockAddr),
+                   t->issue, ready, trace::tid::l2, t->req);
+    }
+    const Addr block_addr = t->blockAddr;
+    mem::RespCallback cb = std::move(t->cb);
+    txns.release(t);
+    cb(ready);
+    handleWrite(block_addr, ready, true);
 }
 
 void

@@ -24,6 +24,7 @@
 #include "noc/link.hh"
 #include "phys/technology.hh"
 #include "sim/fault/injector.hh"
+#include "sim/pool.hh"
 #include "sim/rng.hh"
 #include "tlc/config.hh"
 #include "tlc/floorplan.hh"
@@ -44,7 +45,6 @@ class TlcCache : public mem::L2Cache
              const phys::Technology &tech, const TlcConfig &config,
              fault::Injector *injector = nullptr);
 
-    using mem::L2Cache::access;
     void access(const mem::MemRequest &req,
                 mem::RespCallback cb) override;
 
@@ -182,29 +182,56 @@ class TlcCache : public mem::L2Cache
     Tick secondRoundTrip(int group, Tick start, std::uint64_t req,
                          trace::LatencyBreakdown &bd);
 
+    /**
+     * A demand read waiting on memory. The requester's callback is
+     * stored here once until delivery, so the DRAM completion
+     * captures only `this` and the record, which fits
+     * std::function's local buffer.
+     */
+    struct Txn
+    {
+        Addr blockAddr = 0;
+        Tick issue = 0;
+        /** Tick the miss was determined. */
+        Tick missTime = 0;
+        /** Trace-correlation id. */
+        std::uint64_t req = 0;
+        trace::LatencyBreakdown bd;
+        mem::RespCallback cb;
+    };
+
+    Pool<Txn> txns;
+
     /** Miss path: DRAM fetch, fill, respond. */
     void handleMiss(Addr block_addr, Tick issue, Tick miss_time,
                     std::uint64_t req, trace::LatencyBreakdown bd,
                     mem::RespCallback cb);
 
-    /**
-     * Reserve the request path to every member bank; per member,
-     * record the bank-completion tick and the decomposition of the
-     * path so far. Also accounts request energy.
-     */
-    std::vector<MemberTiming> sendRequests(int group, Tick now,
-                                           int req_cycles,
-                                           std::uint64_t req);
+    /** Memory returned a miss's data at @p ready. */
+    void receiveFill(Txn *t, Tick ready);
 
     /**
-     * Reserve response paths of @p resp_cycles for every member and
-     * return the max first-word arrival at the controller; @p critical
-     * is set to the decomposition of the member that determined it.
+     * Reserve the request path to every member bank; per member,
+     * record in `members` the bank-completion tick and the
+     * decomposition of the path so far. Also accounts request energy.
      */
-    Tick collectResponses(int group, std::vector<MemberTiming> &members,
-                          int resp_cycles, int payload_bits,
+    void sendRequests(int group, Tick now, int req_cycles,
+                      std::uint64_t req);
+
+    /**
+     * Reserve response paths of @p resp_cycles for every member of
+     * the round sendRequests just timed and return the max first-word
+     * arrival at the controller; @p critical is set to the
+     * decomposition of the member that determined it.
+     */
+    Tick collectResponses(int group, int resp_cycles, int payload_bits,
                           std::uint64_t req,
                           trace::LatencyBreakdown &critical);
+
+    /** Per-member timing of the current round (banksPerBlock long). */
+    std::vector<MemberTiming> members;
+    /** Per-member slice arrival of the current write. */
+    std::vector<Tick> writeArrivals;
 
     std::vector<mem::SetAssocArray> arrays;
     std::uint64_t useCounter = 0;

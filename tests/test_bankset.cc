@@ -149,9 +149,11 @@ TEST(BankSet, PartialTagCandidatesFindHolder)
     auto array = makeArray();
     Addr addr = makeAddr(4, 20, 0x55);
     array.insertAtTail(addr, 1, false);
-    auto candidates = array.partialTagCandidates(addr, 2);
-    ASSERT_EQ(candidates.size(), 1u);
-    EXPECT_EQ(candidates[0], 15u);
+    SetProbe found = array.probe(addr, 2);
+    ASSERT_EQ(found.candidates.size(), 1);
+    EXPECT_TRUE(found.candidates.contains(15));
+    ASSERT_TRUE(found.holder.has_value());
+    EXPECT_EQ(found.holder->bank, 15u);
 }
 
 TEST(BankSet, PartialTagFalsePositive)
@@ -161,8 +163,9 @@ TEST(BankSet, PartialTagFalsePositive)
     Addr resident = makeAddr(4, 20, 0x55);
     Addr probe = makeAddr(4, 20, 0x15);
     array.insertAtTail(resident, 1, false);
-    auto candidates = array.partialTagCandidates(probe, 2);
-    ASSERT_EQ(candidates.size(), 1u); // false positive
+    SetProbe found = array.probe(probe, 2);
+    ASSERT_EQ(found.candidates.size(), 1); // false positive
+    EXPECT_FALSE(found.holder.has_value());
     EXPECT_FALSE(array.lookup(probe).has_value());
 }
 
@@ -175,8 +178,10 @@ TEST(BankSet, PartialTagExcludesCloseBanks)
     // Promote to bank 1 (a "close" bank).
     while (loc->bank > 1)
         loc = array.promote(*loc, 100 + loc->bank);
-    auto candidates = array.partialTagCandidates(addr, 2);
-    EXPECT_TRUE(candidates.empty());
+    SetProbe found = array.probe(addr, 2);
+    EXPECT_TRUE(found.candidates.empty());
+    ASSERT_TRUE(found.holder.has_value());
+    EXPECT_EQ(found.holder->bank, 1u);
 }
 
 TEST(BankSet, BlockAddrRoundTrip)
@@ -217,6 +222,45 @@ TEST(BankSet, RandomizedCapacityInvariant)
     }
     EXPECT_LE(array.validCount(), array.capacityBlocks());
     EXPECT_GT(array.validCount(), 0u);
+}
+
+TEST(BankSet, ProbeMatchesLookupAndPartialTagScan)
+{
+    // One pass must find what a lookup and a separate partial-tag
+    // scan of the banks beyond the close ones find, on a busy set
+    // full of partial-tag aliases.
+    auto array = makeArray();
+    Rng rng(7);
+    std::uint64_t counter = 0;
+    for (int i = 0; i < 4000; ++i) {
+        Addr addr = makeAddr(3, 11, rng.below(256));
+        ++counter;
+        auto loc = array.lookup(addr);
+        if (loc && loc->bank > 0)
+            array.promote(*loc, counter);
+        else if (!loc)
+            array.insertAtTail(addr, counter, false);
+
+        Addr probe = makeAddr(3, 11, rng.below(256));
+        SetProbe found = array.probe(probe, 2);
+        auto holder = array.lookup(probe);
+        ASSERT_EQ(found.holder.has_value(), holder.has_value());
+        if (holder) {
+            EXPECT_EQ(found.holder->bank, holder->bank);
+        }
+        for (std::uint32_t bank = 0; bank < 16; ++bank) {
+            bool match = false;
+            for (std::uint32_t way = 0; way < 2; ++way) {
+                const mem::LineState &line =
+                    array.frame(BankLocation{3, 11, bank, way});
+                match |= line.valid() &&
+                         (line.tag() & 63) == (probe >> 13 & 63);
+            }
+            EXPECT_EQ(found.candidates.contains(static_cast<int>(bank)),
+                      bank >= 2 && match)
+                << "bank " << bank;
+        }
+    }
 }
 
 TEST(BankSet, TagWiderThan62BitsPanics)

@@ -62,7 +62,7 @@ TEST(Breakdown, TlcHitComponentsSumToLatency)
         Addr addr = 0x1234;
         f.cache.accessFunctional(addr, AccessType::Load);
         Tick issue = 1000, done = 0;
-        f.cache.access(addr, AccessType::Load, issue,
+        f.cache.access(mem::MemRequest{addr, AccessType::Load, issue},
                        [&](Tick t) { done = t; });
         f.eq.run();
         ASSERT_EQ(f.cache.hits.value(), 1.0) << cfg.name;
@@ -86,7 +86,7 @@ TEST(Breakdown, TlcMissComponentsSumToEndToEnd)
     TlcFixture f(tlc::baseTlc());
     Addr addr = 0x4321;
     Tick issue = 500, done = 0;
-    f.cache.access(addr, AccessType::Load, issue,
+    f.cache.access(mem::MemRequest{addr, AccessType::Load, issue},
                    [&](Tick t) { done = t; });
     f.eq.run();
     ASSERT_EQ(f.cache.misses.value(), 1.0);
@@ -112,10 +112,10 @@ TEST(Breakdown, TlcContendedRequestShowsQueueWait)
 
     Tick done_a = 0, done_b = 0;
     Tick issue = 100;
-    f.cache.access(a, AccessType::Load, issue,
+    f.cache.access(mem::MemRequest{a, AccessType::Load, issue},
                    [&](Tick t) { done_a = t; });
     trace::LatencyBreakdown bd_a = f.cache.lastBreakdown();
-    f.cache.access(b, AccessType::Load, issue,
+    f.cache.access(mem::MemRequest{b, AccessType::Load, issue},
                    [&](Tick t) { done_b = t; });
     trace::LatencyBreakdown bd_b = f.cache.lastBreakdown();
     f.eq.run();
@@ -136,8 +136,10 @@ TEST(Breakdown, TlcDistributionsCountEveryDemandRequest)
 {
     TlcFixture f(tlc::tlcOpt500());
     for (int i = 0; i < 8; ++i) {
-        f.cache.access(static_cast<Addr>(0x40 + i * 7),
-                       AccessType::Load, i * 500, [](Tick) {});
+        f.cache.access(mem::MemRequest{static_cast<Addr>(0x40 + i * 7),
+                                       AccessType::Load,
+                                       static_cast<Tick>(i * 500)},
+                       [](Tick) {});
         f.eq.run();
     }
     EXPECT_EQ(f.cache.queueWaitLatency.count(), 8u);
@@ -152,7 +154,7 @@ TEST(Breakdown, SnucaHitComponentsSumToLatency)
     Addr addr = 0x777;
     f.cache.accessFunctional(addr, AccessType::Load);
     Tick issue = 2000, done = 0;
-    f.cache.access(addr, AccessType::Load, issue,
+    f.cache.access(mem::MemRequest{addr, AccessType::Load, issue},
                    [&](Tick t) { done = t; });
     f.eq.run();
     ASSERT_EQ(f.cache.hits.value(), 1.0);
@@ -168,7 +170,7 @@ TEST(Breakdown, SnucaMissComponentsSumToEndToEnd)
 {
     SnucaFixture f;
     Tick issue = 300, done = 0;
-    f.cache.access(0x888, AccessType::Load, issue,
+    f.cache.access(mem::MemRequest{0x888, AccessType::Load, issue},
                    [&](Tick t) { done = t; });
     f.eq.run();
     ASSERT_EQ(f.cache.misses.value(), 1.0);
@@ -184,7 +186,7 @@ TEST(Breakdown, DnucaHitComponentsSumToLatency)
     Addr addr = 0x55;
     f.cache.accessFunctional(addr, AccessType::Load);
     Tick issue = 1500, done = 0;
-    f.cache.access(addr, AccessType::Load, issue,
+    f.cache.access(mem::MemRequest{addr, AccessType::Load, issue},
                    [&](Tick t) { done = t; });
     f.eq.run();
     ASSERT_EQ(f.cache.hits.value(), 1.0);
@@ -200,7 +202,7 @@ TEST(Breakdown, DnucaMissComponentsSumToEndToEnd)
 {
     DnucaFixture f;
     Tick issue = 400, done = 0;
-    f.cache.access(0xabc, AccessType::Load, issue,
+    f.cache.access(mem::MemRequest{0xabc, AccessType::Load, issue},
                    [&](Tick t) { done = t; });
     f.eq.run();
     ASSERT_EQ(f.cache.misses.value(), 1.0);
@@ -230,7 +232,7 @@ TEST(Breakdown, TlcFaultRunComponentsStillSumExactly)
         f.cache.accessFunctional(addr, AccessType::Load);
         Tick issue = static_cast<Tick>(1000 + i * 400);
         Tick done = 0;
-        f.cache.access(addr, AccessType::Load, issue,
+        f.cache.access(mem::MemRequest{addr, AccessType::Load, issue},
                        [&](Tick t) { done = t; });
         f.eq.run();
         const trace::LatencyBreakdown &bd = f.cache.lastBreakdown();

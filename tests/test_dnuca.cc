@@ -50,7 +50,7 @@ TEST(Dnuca, FastMissWhenNoPartialMatch)
 {
     Fixture f;
     Tick done = 0;
-    f.cache.access(0x1234, AccessType::Load, 0,
+    f.cache.access(mem::MemRequest{0x1234, AccessType::Load, 0},
                    [&](Tick t) { done = t; });
     f.eq.run();
     EXPECT_EQ(f.cache.fastMisses.value(), 1.0);
@@ -63,14 +63,14 @@ TEST(Dnuca, InsertAtTailThenSearchHit)
     Fixture f;
     Addr addr = 0x1234;
     // Miss fills the tail bank.
-    f.cache.access(addr, AccessType::Load, 0, [](Tick) {});
+    f.cache.access(mem::MemRequest{addr, AccessType::Load, 0}, [](Tick) {});
     f.eq.run();
     EXPECT_EQ(f.cache.inserts.value(), 1.0);
 
     // The next access finds it far away via the partial tags.
     Tick issue = f.eq.now() + 100;
     Tick done = 0;
-    f.cache.access(addr, AccessType::Load, issue,
+    f.cache.access(mem::MemRequest{addr, AccessType::Load, issue},
                    [&](Tick t) { done = t; });
     f.eq.run();
     EXPECT_EQ(f.cache.hits.value(), 1.0);
@@ -84,11 +84,12 @@ TEST(Dnuca, HitsPromoteTowardController)
 {
     Fixture f;
     Addr addr = 0x1234;
-    f.cache.access(addr, AccessType::Load, 0, [](Tick) {});
+    f.cache.access(mem::MemRequest{addr, AccessType::Load, 0}, [](Tick) {});
     f.eq.run();
     double promotions_before = f.cache.promotions.value();
     for (int i = 0; i < 20; ++i) {
-        f.cache.access(addr, AccessType::Load, f.eq.now() + 100,
+        f.cache.access(mem::MemRequest{addr, AccessType::Load,
+                                       f.eq.now() + 100},
                        [](Tick) {});
         f.eq.run();
     }
@@ -96,7 +97,7 @@ TEST(Dnuca, HitsPromoteTowardController)
     // After enough hits the block lives in the closest banks.
     Tick issue = f.eq.now() + 100;
     Tick done = 0;
-    f.cache.access(addr, AccessType::Load, issue,
+    f.cache.access(mem::MemRequest{addr, AccessType::Load, issue},
                    [&](Tick t) { done = t; });
     f.eq.run();
     EXPECT_GT(f.cache.closeHits.value(), 0.0);
@@ -111,7 +112,7 @@ TEST(Dnuca, CloseHitLatencyPredictable)
         f.cache.accessFunctional(addr, AccessType::Load);
     Tick issue = 1000;
     Tick done = 0;
-    f.cache.access(addr, AccessType::Load, issue,
+    f.cache.access(mem::MemRequest{addr, AccessType::Load, issue},
                    [&](Tick t) { done = t; });
     f.eq.run();
     EXPECT_EQ(done - issue, f.cache.uncontendedLatency(0, 7));
@@ -124,7 +125,7 @@ TEST(Dnuca, StoreToResidentBlockNoPromotion)
     Addr addr = 0x777;
     f.cache.accessFunctional(addr, AccessType::Load);
     double promos = f.cache.promotions.value();
-    f.cache.access(addr, AccessType::Store, 100, [](Tick) {});
+    f.cache.access(mem::MemRequest{addr, AccessType::Store, 100}, [](Tick) {});
     f.eq.run();
     EXPECT_EQ(f.cache.promotions.value(), promos);
 }
@@ -132,7 +133,7 @@ TEST(Dnuca, StoreToResidentBlockNoPromotion)
 TEST(Dnuca, StoreToAbsentBlockInstallsAtTail)
 {
     Fixture f;
-    f.cache.access(0x888, AccessType::Store, 0, [](Tick) {});
+    f.cache.access(mem::MemRequest{0x888, AccessType::Store, 0}, [](Tick) {});
     f.eq.run();
     EXPECT_EQ(f.cache.inserts.value(), 1.0);
 }
@@ -144,7 +145,7 @@ TEST(Dnuca, FunctionalPromotionMatchesTimed)
     for (int i = 0; i < 16; ++i)
         f.cache.accessFunctional(addr, AccessType::Load);
     // Block should now be in a close bank: a timed load close-hits.
-    f.cache.access(addr, AccessType::Load, 100, [](Tick) {});
+    f.cache.access(mem::MemRequest{addr, AccessType::Load, 100}, [](Tick) {});
     f.eq.run();
     EXPECT_EQ(f.cache.closeHits.value(), 1.0);
 }
@@ -152,7 +153,7 @@ TEST(Dnuca, FunctionalPromotionMatchesTimed)
 TEST(Dnuca, BanksAccessedAtLeastCloseBanks)
 {
     Fixture f;
-    f.cache.access(0x3, AccessType::Load, 0, [](Tick) {});
+    f.cache.access(mem::MemRequest{0x3, AccessType::Load, 0}, [](Tick) {});
     f.eq.run();
     EXPECT_GE(f.cache.banksAccessed.mean(), 2.0);
 }
@@ -169,7 +170,7 @@ TEST(Dnuca, TailChurnCannotEvictPromotedBlock)
                                  AccessType::Load);
     }
     // The hot block survives (it was promoted away from the tail).
-    f.cache.access(hot, AccessType::Load, f.eq.now() + 1000,
+    f.cache.access(mem::MemRequest{hot, AccessType::Load, f.eq.now() + 1000},
                    [](Tick) {});
     f.eq.run();
     EXPECT_EQ(f.cache.hits.value(), 1.0);
@@ -185,11 +186,11 @@ TEST(Dnuca, SearchLatencyExceedsCloseHitLatency)
         f.cache.accessFunctional(close_block, AccessType::Load);
 
     Tick t0 = 1000, far_done = 0, close_done = 0;
-    f.cache.access(far_block, AccessType::Load, t0,
+    f.cache.access(mem::MemRequest{far_block, AccessType::Load, t0},
                    [&](Tick t) { far_done = t; });
     f.eq.run();
     Tick t1 = f.eq.now() + 1000;
-    f.cache.access(close_block, AccessType::Load, t1,
+    f.cache.access(mem::MemRequest{close_block, AccessType::Load, t1},
                    [&](Tick t) { close_done = t; });
     f.eq.run();
     EXPECT_GT(far_done - t0, close_done - t1);
@@ -210,12 +211,13 @@ TEST(Dnuca, PromotionDistanceTwoMovesFaster)
         cache.accessFunctional(addr, AccessType::Load);
     // 4 promotions x 2 banks: at row 7 by now; a 16th-distance walk
     // with distance 1 would only reach row 11.
-    cache.access(addr, AccessType::Load, 100, [](Tick) {});
+    cache.access(mem::MemRequest{addr, AccessType::Load, 100}, [](Tick) {});
     eq.run();
     // Another 4 accesses reach the close banks.
     for (int i = 0; i < 4; ++i)
         cache.accessFunctional(addr, AccessType::Load);
-    cache.access(addr, AccessType::Load, eq.now() + 1000, [](Tick) {});
+    cache.access(mem::MemRequest{addr, AccessType::Load, eq.now() + 1000},
+                 [](Tick) {});
     eq.run();
     EXPECT_GE(cache.closeHits.value(), 1.0);
 }
@@ -230,7 +232,7 @@ TEST(Dnuca, HeadInsertionHitsCloseImmediately)
     DnucaCache cache(eq, &root, dram, phys::tech45(), cfg);
 
     cache.accessFunctional(0x99, AccessType::Load);
-    cache.access(0x99, AccessType::Load, 100, [](Tick) {});
+    cache.access(mem::MemRequest{0x99, AccessType::Load, 100}, [](Tick) {});
     eq.run();
     EXPECT_EQ(cache.closeHits.value(), 1.0);
 }
@@ -246,7 +248,7 @@ TEST(Dnuca, MiddleInsertionLandsMidChain)
 
     cache.accessFunctional(0x77, AccessType::Load);
     // Not a close hit (row 8), but found via search on next access.
-    cache.access(0x77, AccessType::Load, 100, [](Tick) {});
+    cache.access(mem::MemRequest{0x77, AccessType::Load, 100}, [](Tick) {});
     eq.run();
     EXPECT_EQ(cache.closeHits.value(), 0.0);
     EXPECT_EQ(cache.hits.value(), 1.0);

@@ -61,6 +61,31 @@ PrintTo(const BackendParam &param, std::ostream *os)
     *os << param.name;
 }
 
+/**
+ * A completion callback that counts its own copies. It is not
+ * trivially copyable, so std::function keeps it on the heap and
+ * copying the std::function copies (and counts) it.
+ */
+struct CopyCountingCallback
+{
+    CopyCountingCallback(int *copies_, Tick *done_)
+        : copies(copies_), done(done_)
+    {}
+
+    CopyCountingCallback(const CopyCountingCallback &other)
+        : copies(other.copies), done(other.done)
+    {
+        ++*copies;
+    }
+
+    CopyCountingCallback(CopyCountingCallback &&) noexcept = default;
+
+    void operator()(Tick t) const { *done = t; }
+
+    int *copies;
+    Tick *done;
+};
+
 std::string
 paramName(const ::testing::TestParamInfo<BackendParam> &info)
 {
@@ -130,6 +155,23 @@ TEST_P(MemBackendConformance, SameBlockReadsCompleteInIssueOrder)
         EXPECT_GE(times[i], times[i - 1]);
     EXPECT_EQ(dram->reads.value(), 16.0);
     EXPECT_EQ(dram->inService(), 0);
+}
+
+TEST_P(MemBackendConformance, ReadCallbacksAreMovedNeverCopied)
+{
+    EventQueue eq;
+    stats::StatGroup root("root");
+    auto dram = build(eq, &root);
+    // Enough reads to fill every slot and queue (and, for ddr, spill).
+    int copies = 0;
+    std::vector<Tick> done(20, 0);
+    for (std::size_t i = 0; i < done.size(); ++i) {
+        dram->read(0x40 * i, 0, CopyCountingCallback(&copies, &done[i]));
+    }
+    eq.run();
+    for (Tick t : done)
+        EXPECT_GT(t, 0u);
+    EXPECT_EQ(copies, 0);
 }
 
 TEST_P(MemBackendConformance, BackpressureDelaysExcessRequests)
@@ -272,6 +314,24 @@ TEST(Dram, CustomLatency)
     dram.read(0x10, 50, [&](Tick t) { done = t; });
     eq.run();
     EXPECT_EQ(done, 150u);
+}
+
+TEST(Dram, CompletionCallbackIsMovedNeverCopied)
+{
+    EventQueue eq;
+    stats::StatGroup root("root");
+    Dram dram(eq, &root);
+    int copies = 0;
+    Tick first = 0, queued = 0;
+    dram.read(0x10, 0, CopyCountingCallback(&copies, &first));
+    // Fill the other seven slots so the next read waits in the queue.
+    for (int i = 0; i < 7; ++i)
+        dram.read(0x20 + i, 0, [](Tick) {});
+    dram.read(0x30, 0, CopyCountingCallback(&copies, &queued));
+    eq.run();
+    EXPECT_EQ(first, 300u);
+    EXPECT_EQ(queued, 600u);
+    EXPECT_EQ(copies, 0);
 }
 
 TEST(Dram, EightOverlapOutstanding)

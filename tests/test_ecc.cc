@@ -45,7 +45,7 @@ TEST(Ecc, CleanLinesNeverRetry)
     Fixture f(0.0);
     for (Addr a = 0; a < 50; ++a) {
         f.cache.accessFunctional(a, AccessType::Load);
-        f.cache.access(a, AccessType::Load, f.eq.now() + 100,
+        f.cache.access(mem::MemRequest{a, AccessType::Load, f.eq.now() + 100},
                        [](Tick) {});
         f.eq.run();
     }
@@ -57,7 +57,7 @@ TEST(Ecc, CertainErrorsAlwaysRetry)
     Fixture f(1.0);
     f.cache.accessFunctional(0x10, AccessType::Load);
     Tick issue = 100, done = 0;
-    f.cache.access(0x10, AccessType::Load, issue,
+    f.cache.access(mem::MemRequest{0x10, AccessType::Load, issue},
                    [&](Tick t) { done = t; });
     f.eq.run();
     EXPECT_EQ(f.cache.eccRetries.value(), 1.0);
@@ -74,7 +74,7 @@ TEST(Ecc, RetryRateTracksErrorRate)
     for (int i = 0; i < n; ++i) {
         Addr a = static_cast<Addr>(i % 64);
         f.cache.accessFunctional(a, AccessType::Load);
-        f.cache.access(a, AccessType::Load, f.eq.now() + 50,
+        f.cache.access(mem::MemRequest{a, AccessType::Load, f.eq.now() + 50},
                        [](Tick) {});
         f.eq.run();
     }
@@ -87,7 +87,7 @@ TEST(Ecc, RetriedLookupsStillReturnData)
     Fixture f(1.0);
     f.cache.accessFunctional(0x20, AccessType::Load);
     bool delivered = false;
-    f.cache.access(0x20, AccessType::Load, 100,
+    f.cache.access(mem::MemRequest{0x20, AccessType::Load, 100},
                    [&](Tick) { delivered = true; });
     f.eq.run();
     EXPECT_TRUE(delivered);
@@ -101,7 +101,8 @@ TEST(Ecc, DeterministicInjection)
         for (int i = 0; i < 500; ++i) {
             Addr a = static_cast<Addr>(i % 32);
             f.cache.accessFunctional(a, AccessType::Load);
-            f.cache.access(a, AccessType::Load, f.eq.now() + 50,
+            f.cache.access(mem::MemRequest{a, AccessType::Load,
+                                           f.eq.now() + 50},
                            [](Tick) {});
             f.eq.run();
         }

@@ -81,12 +81,12 @@ TEST(L1Cache, MissThenHit)
 {
     Fixture f;
     Tick first = 0, second = 0;
-    f.l1.access(0x100, AccessType::Load, 0,
+    f.l1.access(MemRequest{0x100, AccessType::Load, 0},
                 [&](Tick t) { first = t; });
     f.eq.run();
     // Miss: tag check (3) + L2 (20).
     EXPECT_EQ(first, 23u);
-    f.l1.access(0x100, AccessType::Load, 30,
+    f.l1.access(MemRequest{0x100, AccessType::Load, 30},
                 [&](Tick t) { second = t; });
     f.eq.run();
     EXPECT_EQ(second, 33u); // hit latency 3
@@ -98,8 +98,8 @@ TEST(L1Cache, CoalescedMissSingleL2Request)
 {
     Fixture f;
     int done = 0;
-    f.l1.access(0x100, AccessType::Load, 0, [&](Tick) { ++done; });
-    f.l1.access(0x100, AccessType::Load, 1, [&](Tick) { ++done; });
+    f.l1.access(MemRequest{0x100, AccessType::Load, 0}, [&](Tick) { ++done; });
+    f.l1.access(MemRequest{0x100, AccessType::Load, 1}, [&](Tick) { ++done; });
     f.eq.run();
     EXPECT_EQ(done, 2);
     EXPECT_EQ(f.l2.seen.size(), 1u);
@@ -109,7 +109,7 @@ TEST(L1Cache, CoalescedMissSingleL2Request)
 TEST(L1Cache, StoreMissFetchesAsLoad)
 {
     Fixture f;
-    f.l1.access(0x200, AccessType::Store, 0, [](Tick) {});
+    f.l1.access(MemRequest{0x200, AccessType::Store, 0}, [](Tick) {});
     f.eq.run();
     ASSERT_EQ(f.l2.seen.size(), 1u);
     EXPECT_EQ(f.l2.seen[0].type, AccessType::Load);
@@ -121,11 +121,11 @@ TEST(L1Cache, DirtyEvictionWritesBack)
     // 64 KB, 2-way: 512 sets. Three blocks in one set force an
     // eviction; the dirty one triggers a writeback.
     Addr a = 0x1000, b = a + 512, c = a + 1024;
-    f.l1.access(a, AccessType::Store, 0, [](Tick) {});
+    f.l1.access(MemRequest{a, AccessType::Store, 0}, [](Tick) {});
     f.eq.run();
-    f.l1.access(b, AccessType::Load, 100, [](Tick) {});
+    f.l1.access(MemRequest{b, AccessType::Load, 100}, [](Tick) {});
     f.eq.run();
-    f.l1.access(c, AccessType::Load, 200, [](Tick) {});
+    f.l1.access(MemRequest{c, AccessType::Load, 200}, [](Tick) {});
     f.eq.run();
     EXPECT_EQ(f.l1.writebacks.value(), 1.0);
     bool saw_store = false;
@@ -141,7 +141,7 @@ TEST(L1Cache, MshrLimitQueuesExtraMisses)
     Fixture f(1000); // slow L2
     int done = 0;
     for (Addr a = 0; a < 9; ++a) {
-        f.l1.access(0x1000 + a, AccessType::Load, 0,
+        f.l1.access(MemRequest{0x1000 + a, AccessType::Load, 0},
                     [&](Tick) { ++done; });
     }
     // Only 8 MSHRs: the 9th miss waits (L2 requests depart after the
@@ -160,7 +160,8 @@ TEST(L1Cache, FunctionalAccessWarmsArray)
     f.l1.accessFunctional(0x300, AccessType::Load);
     EXPECT_EQ(f.l2.seen.size(), 1u); // functional miss forwarded
     Tick done = 0;
-    f.l1.access(0x300, AccessType::Load, 0, [&](Tick t) { done = t; });
+    f.l1.access(MemRequest{0x300, AccessType::Load, 0},
+                [&](Tick t) { done = t; });
     f.eq.run();
     EXPECT_EQ(done, 3u); // timed access now hits
 }
@@ -181,9 +182,9 @@ TEST(L1Cache, FunctionalDirtyEvictionForwarded)
 TEST(L1Cache, AccessesStatCountsEverything)
 {
     Fixture f;
-    f.l1.access(1, AccessType::Load, 0, [](Tick) {});
+    f.l1.access(MemRequest{1, AccessType::Load, 0}, [](Tick) {});
     f.eq.run();
-    f.l1.access(1, AccessType::Load, 50, [](Tick) {});
+    f.l1.access(MemRequest{1, AccessType::Load, 50}, [](Tick) {});
     f.eq.run();
     EXPECT_EQ(f.l1.accesses.value(), 2.0);
 }
@@ -289,9 +290,9 @@ TEST(L1Cache, QueuedAccessAdmittedByFillHitsFilledBlock)
     auto record = [&done](int n) {
         return [&done, n](Tick t) { done.emplace_back(n, t); };
     };
-    f.l1.access(0xA0, AccessType::Load, 0, record(0));
-    f.l1.access(0xB0, AccessType::Load, 1, record(1));
-    f.l1.access(0xB0, AccessType::Load, 2, record(2));
+    f.l1.access(MemRequest{0xA0, AccessType::Load, 0}, record(0));
+    f.l1.access(MemRequest{0xB0, AccessType::Load, 1}, record(1));
+    f.l1.access(MemRequest{0xB0, AccessType::Load, 2}, record(2));
     EXPECT_EQ(f.l1.outstandingMisses(), 1);
     f.eq.run();
     // A: 0+3+20. B admitted at 23: 23+3+20. Second B hits at 46+3.
@@ -310,8 +311,10 @@ TEST(L1Cache, CoalescedStoreMissFillsDirty)
 {
     Fixture f;
     int loads = 0, stores = 0;
-    f.l1.access(0x1000, AccessType::Load, 0, [&](Tick) { ++loads; });
-    f.l1.access(0x1000, AccessType::Store, 1, [&](Tick) { ++stores; });
+    f.l1.access(MemRequest{0x1000, AccessType::Load, 0},
+                [&](Tick) { ++loads; });
+    f.l1.access(MemRequest{0x1000, AccessType::Store, 1},
+                [&](Tick) { ++stores; });
     f.eq.run();
     EXPECT_EQ(loads, 1);
     EXPECT_EQ(stores, 1);
@@ -320,9 +323,9 @@ TEST(L1Cache, CoalescedStoreMissFillsDirty)
     EXPECT_EQ(f.l2.seen[0].type, AccessType::Load);
     // The store marked the MSHR: the line fills dirty, so evicting
     // it (two more blocks in its set) writes it back.
-    f.l1.access(0x1000 + 512, AccessType::Load, 100, [](Tick) {});
+    f.l1.access(MemRequest{0x1000 + 512, AccessType::Load, 100}, [](Tick) {});
     f.eq.run();
-    f.l1.access(0x1000 + 1024, AccessType::Load, 200, [](Tick) {});
+    f.l1.access(MemRequest{0x1000 + 1024, AccessType::Load, 200}, [](Tick) {});
     f.eq.run();
     EXPECT_EQ(f.l1.writebacks.value(), 1.0);
     EXPECT_EQ(f.l2.seen.back().type, AccessType::Store);
@@ -334,13 +337,13 @@ TEST(L1Cache, OutstandingMissesAtMshrLimit)
     Fixture f(1000);
     for (Addr a = 0; a < 8; ++a) {
         f.eq.advanceTo(a);
-        f.l1.access(0x1000 + a, AccessType::Load, a, [](Tick) {});
+        f.l1.access(MemRequest{0x1000 + a, AccessType::Load, a}, [](Tick) {});
         EXPECT_EQ(f.l1.outstandingMisses(), static_cast<int>(a) + 1);
     }
     // Full: a ninth miss queues, a repeat coalesces; neither takes
     // an MSHR.
-    f.l1.access(0x2000, AccessType::Load, 7, [](Tick) {});
-    f.l1.access(0x1003, AccessType::Load, 7, [](Tick) {});
+    f.l1.access(MemRequest{0x2000, AccessType::Load, 7}, [](Tick) {});
+    f.l1.access(MemRequest{0x1003, AccessType::Load, 7}, [](Tick) {});
     EXPECT_EQ(f.l1.outstandingMisses(), 8);
     // The first fill (at 0 + 3 + 1000) frees one entry and the
     // queued miss takes it; the second frees one for good.
@@ -358,12 +361,16 @@ TEST(L1Cache, ReusedMshrFiresOnlyItsOwnTargets)
     // miss it held before never fire again.
     Fixture f(20, 64 * 1024, 1);
     int first = 0, second = 0;
-    f.l1.access(0x100, AccessType::Load, 0, [&](Tick) { ++first; });
-    f.l1.access(0x100, AccessType::Load, 1, [&](Tick) { ++first; });
+    f.l1.access(MemRequest{0x100, AccessType::Load, 0},
+                [&](Tick) { ++first; });
+    f.l1.access(MemRequest{0x100, AccessType::Load, 1},
+                [&](Tick) { ++first; });
     f.eq.run();
-    f.l1.access(0x200, AccessType::Load, 50, [&](Tick) { ++second; });
+    f.l1.access(MemRequest{0x200, AccessType::Load, 50},
+                [&](Tick) { ++second; });
     f.eq.run();
-    f.l1.access(0x300, AccessType::Load, 100, [&](Tick) { ++second; });
+    f.l1.access(MemRequest{0x300, AccessType::Load, 100},
+                [&](Tick) { ++second; });
     f.eq.run();
     EXPECT_EQ(first, 2);
     EXPECT_EQ(second, 2);

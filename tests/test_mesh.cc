@@ -70,6 +70,46 @@ TEST(Mesh, SnucaHopSpectrum)
     EXPECT_EQ(mesh.uncontendedLatency(Coord{3, 0}), 12u);
 }
 
+TEST(Mesh, UncontendedLatencyRoundsHalfHopsUp)
+{
+    // The integer latency equals the hop count times hopLatency,
+    // rounded half away from zero, on odd and even grids.
+    EventQueue eq;
+    for (int cols : {2, 7, 8, 16}) {
+        for (Cycles hop : {1u, 2u, 3u}) {
+            Mesh mesh(eq, tech45(), MeshConfig{5, cols, hop, 128, 1e-3});
+            for (int r = 0; r < 5; ++r) {
+                for (int c = 0; c < cols; ++c) {
+                    Coord at{r, c};
+                    EXPECT_EQ(mesh.uncontendedLatency(at),
+                              static_cast<Cycles>(std::llround(
+                                  mesh.hopsTo(at) *
+                                  static_cast<double>(hop))))
+                        << cols << " cols, hop " << hop << " at (" << r
+                        << "," << c << ")";
+                }
+            }
+        }
+    }
+}
+
+TEST(Mesh, RouteToControllerMatchesSendWithoutAnEvent)
+{
+    EventQueue eq;
+    Mesh sent(eq, tech45(), dnucaMesh());
+    Tick delivered = 0;
+    sent.sendToController(Coord{9, 3}, 1, 40,
+                          [&](Tick t) { delivered = t; });
+    EXPECT_EQ(eq.size(), 1u);
+    eq.run();
+
+    Mesh routed(eq, tech45(), dnucaMesh());
+    EXPECT_EQ(routed.routeToController(Coord{9, 3}, 1, 40), delivered);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(routed.energyConsumed(), sent.energyConsumed());
+    EXPECT_EQ(routed.totalBusyCycles(), sent.totalBusyCycles());
+}
+
 TEST(Mesh, AdjacentBankZeroHops)
 {
     EventQueue eq;
@@ -473,13 +513,13 @@ multicastBurst(double &energy, std::uint64_t &busy)
     std::function<void(Tick)> launch = [&](Tick now) {
         int id = next_id++;
         int col = static_cast<int>(rng.below(16));
-        std::vector<int> rows;
+        RowSet rows;
         for (int r = 0; r < 16; ++r) {
             if (rng.below(4) == 0)
-                rows.push_back(r);
+                rows.add(r);
         }
         if (rows.empty())
-            rows.push_back(static_cast<int>(rng.below(16)));
+            rows.add(static_cast<int>(rng.below(16)));
         mesh.multicastToColumn(
             col, rows, 1, now, [&, id, col](int row, Tick t) {
                 seen.emplace_back(id, row, t);

@@ -51,7 +51,7 @@ TEST(Snuca, MissGoesToMemoryThenHits)
 {
     Fixture f;
     Tick first = 0;
-    f.cache.access(0x40, AccessType::Load, 0,
+    f.cache.access(mem::MemRequest{0x40, AccessType::Load, 0},
                    [&](Tick t) { first = t; });
     f.eq.run();
     EXPECT_GT(first, 300u); // DRAM latency dominates
@@ -60,7 +60,7 @@ TEST(Snuca, MissGoesToMemoryThenHits)
     Tick second = 0;
     // Wait out the fill's bank occupancy before re-accessing.
     Tick issue2 = first + 100;
-    f.cache.access(0x40, AccessType::Load, issue2,
+    f.cache.access(mem::MemRequest{0x40, AccessType::Load, issue2},
                    [&](Tick t) { second = t; });
     f.eq.run();
     EXPECT_EQ(f.cache.hits.value(), 1.0);
@@ -74,7 +74,7 @@ TEST(Snuca, HitLatencyIsUncontendedWhenIdle)
     Fixture f;
     f.cache.accessFunctional(0x777, AccessType::Load);
     Tick done = 0;
-    f.cache.access(0x777, AccessType::Load, 1000,
+    f.cache.access(mem::MemRequest{0x777, AccessType::Load, 1000},
                    [&](Tick t) { done = t; });
     f.eq.run();
     EXPECT_EQ(done - 1000, f.cache.uncontendedLatency(0x777 & 31));
@@ -85,13 +85,13 @@ TEST(Snuca, StoreCompletesImmediately)
 {
     Fixture f;
     Tick done = MaxTick;
-    f.cache.access(0x99, AccessType::Store, 5,
+    f.cache.access(mem::MemRequest{0x99, AccessType::Store, 5},
                    [&](Tick t) { done = t; });
     EXPECT_EQ(done, 5u);
     f.eq.run();
     // The write is installed.
     Tick hit = 0;
-    f.cache.access(0x99, AccessType::Load, 2000,
+    f.cache.access(mem::MemRequest{0x99, AccessType::Load, 2000},
                    [&](Tick t) { hit = t; });
     f.eq.run();
     EXPECT_EQ(f.cache.hits.value(), 1.0);
@@ -101,7 +101,7 @@ TEST(Snuca, BanksAccessedAlwaysOne)
 {
     Fixture f;
     f.cache.accessFunctional(0x1, AccessType::Load);
-    f.cache.access(0x1, AccessType::Load, 0, [](Tick) {});
+    f.cache.access(mem::MemRequest{0x1, AccessType::Load, 0}, [](Tick) {});
     f.eq.run();
     EXPECT_DOUBLE_EQ(f.cache.banksAccessed.mean(), 1.0);
 }
@@ -114,8 +114,9 @@ TEST(Snuca, DirtyL2EvictionWritesToMemory)
     // 32 * 2048 = 65536.
     Addr base = 0x40;
     for (int i = 0; i < 5; ++i) {
-        f.cache.access(base + 65536u * i, AccessType::Store,
-                       i * 2000, [](Tick) {});
+        f.cache.access(mem::MemRequest{base + 65536u * i, AccessType::Store,
+                                       static_cast<Tick>(i * 2000)},
+                       [](Tick) {});
         f.eq.run();
     }
     EXPECT_EQ(f.cache.writebacksToMemory.value(), 1.0);
@@ -126,7 +127,8 @@ TEST(Snuca, UtilizationPositiveUnderLoad)
 {
     Fixture f;
     for (Addr a = 0; a < 50; ++a)
-        f.cache.access(a, AccessType::Load, a * 3, [](Tick) {});
+        f.cache.access(mem::MemRequest{a, AccessType::Load, a * 3},
+                       [](Tick) {});
     f.eq.run();
     f.cache.syncStats();
     EXPECT_GT(f.cache.linkBusyCycles.value(), 0.0);
@@ -139,7 +141,7 @@ TEST(Snuca, FunctionalMatchesTimedPlacement)
     for (Addr a = 100; a < 120; ++a)
         f.cache.accessFunctional(a, AccessType::Load);
     for (Addr a = 100; a < 120; ++a) {
-        f.cache.access(a, AccessType::Load, f.eq.now() + 1000,
+        f.cache.access(mem::MemRequest{a, AccessType::Load, f.eq.now() + 1000},
                        [](Tick) {});
         f.eq.run();
     }

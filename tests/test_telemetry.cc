@@ -274,8 +274,9 @@ TEST(Diagnostic, TlcDumpNamesHottestLinkAndBank)
     for (int i = 0; i < 32; ++i) {
         Addr addr = static_cast<Addr>(0x40 + i * 0x1000);
         cache.accessFunctional(addr, AccessType::Load);
-        cache.access(addr, AccessType::Load,
-                     static_cast<Tick>(100 + i * 50), [](Tick) {});
+        cache.access(mem::MemRequest{addr, AccessType::Load,
+                                     static_cast<Tick>(100 + i * 50)},
+                     [](Tick) {});
     }
     eq.run();
 

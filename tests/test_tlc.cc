@@ -87,7 +87,7 @@ TEST(Tlc, HitLatencyPredictableWhenIdle)
     Addr addr = 0x1234;
     f.cache.accessFunctional(addr, AccessType::Load);
     Tick issue = 1000, done = 0;
-    f.cache.access(addr, AccessType::Load, issue,
+    f.cache.access(mem::MemRequest{addr, AccessType::Load, issue},
                    [&](Tick t) { done = t; });
     f.eq.run();
     EXPECT_EQ(done - issue, f.cache.uncontendedLoadLatency(addr));
@@ -101,7 +101,8 @@ TEST(Tlc, MissDeterminationSameTiming)
     Fixture f(baseTlc());
     Addr addr = 0x4321;
     Tick issue = 500;
-    f.cache.access(addr, AccessType::Load, issue, [](Tick) {});
+    f.cache.access(mem::MemRequest{addr, AccessType::Load, issue},
+                   [](Tick) {});
     f.eq.run();
     EXPECT_EQ(f.cache.misses.value(), 1.0);
     EXPECT_EQ(f.cache.lookupLatency.mean(),
@@ -114,11 +115,12 @@ TEST(Tlc, MissFillsAndHitsAfter)
     Fixture f(baseTlc());
     Addr addr = 0x99;
     Tick first = 0;
-    f.cache.access(addr, AccessType::Load, 0,
+    f.cache.access(mem::MemRequest{addr, AccessType::Load, 0},
                    [&](Tick t) { first = t; });
     f.eq.run();
     EXPECT_GT(first, 300u);
-    f.cache.access(addr, AccessType::Load, first + 100, [](Tick) {});
+    f.cache.access(mem::MemRequest{addr, AccessType::Load, first + 100},
+                   [](Tick) {});
     f.eq.run();
     EXPECT_EQ(f.cache.hits.value(), 1.0);
 }
@@ -128,7 +130,7 @@ TEST(Tlc, BanksAccessedEqualsStriping)
     for (const auto &cfg : {baseTlc(), tlcOpt1000(), tlcOpt500(),
                             tlcOpt350()}) {
         Fixture f(cfg);
-        f.cache.access(0x5, AccessType::Load, 0, [](Tick) {});
+        f.cache.access(mem::MemRequest{0x5, AccessType::Load, 0}, [](Tick) {});
         f.eq.run();
         EXPECT_DOUBLE_EQ(f.cache.banksAccessed.mean(),
                          cfg.banksPerBlock)
@@ -140,11 +142,12 @@ TEST(Tlc, StoreWritesWithoutTagComparison)
 {
     Fixture f(baseTlc());
     Tick done = MaxTick;
-    f.cache.access(0x77, AccessType::Store, 10,
+    f.cache.access(mem::MemRequest{0x77, AccessType::Store, 10},
                    [&](Tick t) { done = t; });
     EXPECT_EQ(done, 10u); // accepted immediately
     f.eq.run();
-    f.cache.access(0x77, AccessType::Load, 10000, [](Tick) {});
+    f.cache.access(mem::MemRequest{0x77, AccessType::Load, 10000},
+                   [](Tick) {});
     f.eq.run();
     EXPECT_EQ(f.cache.hits.value(), 1.0);
 }
@@ -154,7 +157,8 @@ TEST(Tlc, DirtyEvictionReachesMemory)
     Fixture f(baseTlc());
     // 32 groups x 2048 sets: same (group,set) stride = 65536.
     for (int i = 0; i < 5; ++i) {
-        f.cache.access(0x40 + 65536u * i, AccessType::Store, i * 3000,
+        f.cache.access(mem::MemRequest{0x40 + 65536u * i, AccessType::Store,
+                                       static_cast<Tick>(i * 3000)},
                        [](Tick) {});
         f.eq.run();
     }
@@ -169,9 +173,9 @@ TEST(Tlc, ContentionDelaysBackToBackSameBank)
     f.cache.accessFunctional(addr, AccessType::Load);
     f.cache.accessFunctional(addr + 32, AccessType::Load); // same bank
     Tick d1 = 0, d2 = 0;
-    f.cache.access(addr, AccessType::Load, 100,
+    f.cache.access(mem::MemRequest{addr, AccessType::Load, 100},
                    [&](Tick t) { d1 = t; });
-    f.cache.access(addr + 32, AccessType::Load, 100,
+    f.cache.access(mem::MemRequest{addr + 32, AccessType::Load, 100},
                    [&](Tick t) { d2 = t; });
     f.eq.run();
     // The second access queues behind the first at the bank.
@@ -186,8 +190,10 @@ TEST(Tlc, DifferentBanksProceedInParallel)
     f.cache.accessFunctional(a, AccessType::Load);
     f.cache.accessFunctional(b, AccessType::Load);
     Tick da = 0, db = 0;
-    f.cache.access(a, AccessType::Load, 100, [&](Tick t) { da = t; });
-    f.cache.access(b, AccessType::Load, 100, [&](Tick t) { db = t; });
+    f.cache.access(mem::MemRequest{a, AccessType::Load, 100},
+                   [&](Tick t) { da = t; });
+    f.cache.access(mem::MemRequest{b, AccessType::Load, 100},
+                   [&](Tick t) { db = t; });
     f.eq.run();
     EXPECT_EQ(da, 100 + f.cache.uncontendedLoadLatency(a));
     EXPECT_EQ(db, 100 + f.cache.uncontendedLoadLatency(b));
@@ -210,7 +216,7 @@ TEST(Tlc, MultiMatchNeedsSecondRoundTrip)
     f.cache.accessFunctional(b, AccessType::Load);
 
     Tick issue = 1000, done = 0;
-    f.cache.access(a, AccessType::Load, issue,
+    f.cache.access(mem::MemRequest{a, AccessType::Load, issue},
                    [&](Tick t) { done = t; });
     f.eq.run();
     EXPECT_EQ(f.cache.multiMatches.value(), 1.0);
@@ -228,7 +234,7 @@ TEST(Tlc, FalsePartialMatchIsCleanMiss)
     Addr resident = set_bits | (Addr(0x040) << 16);
     Addr probe = set_bits | (Addr(0x100) << 16); // same low-6 tag bits
     f.cache.accessFunctional(resident, AccessType::Load);
-    f.cache.access(probe, AccessType::Load, 100, [](Tick) {});
+    f.cache.access(mem::MemRequest{probe, AccessType::Load, 100}, [](Tick) {});
     f.eq.run();
     EXPECT_EQ(f.cache.falseMatches.value(), 1.0);
     EXPECT_EQ(f.cache.misses.value(), 1.0);
@@ -238,7 +244,8 @@ TEST(Tlc, LinkUtilizationAccounted)
 {
     Fixture f(baseTlc());
     for (Addr a = 0; a < 64; ++a)
-        f.cache.access(a, AccessType::Load, a * 2, [](Tick) {});
+        f.cache.access(mem::MemRequest{a, AccessType::Load, a * 2},
+                       [](Tick) {});
     f.eq.run();
     f.cache.syncStats();
     EXPECT_GT(f.cache.linkBusyCycles.value(), 0.0);

@@ -23,6 +23,9 @@ def check_file(md: Path, root: Path) -> list[str]:
     # Strip fenced code blocks: command examples often contain
     # bracketed text that is not a link.
     text = re.sub(r"```.*?```", "", text, flags=re.S)
+    # Likewise inline code spans: `[](Tick) {}` is C++, not a link.
+    # A link whose text is code keeps its target: [`x`](y) -> [](y).
+    text = re.sub(r"`[^`\n]*`", "", text)
     for match in LINK.finditer(text):
         target = match.group(1)
         if target.startswith(SKIP_SCHEMES):
